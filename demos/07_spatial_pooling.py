@@ -15,7 +15,8 @@ from tokengate import (
     Policy,
     StreamConfig,
     gen_stream,
-    pooled_kv,
+    pool_index_set,
+    pool_tokens,
 )
 from tokengate.rng import SplitRng
 
@@ -24,7 +25,8 @@ rng = SplitRng(1)
 k = rng.normal((16, 4))
 v = rng.normal((16, 4))
 mask = np.array([5, 6])                     # active tokens, middle of the grid
-kp, vp, pooled_mask = pooled_kv(k, v, mask, grid=4, pool=2)
+kp, vp = pool_tokens(k, grid=4, pool=2), pool_tokens(v, grid=4, pool=2)
+pooled_mask = pool_index_set(mask, grid=4, pool=2)
 print(f"16 tokens pool to {kp.shape[0]}; active {mask.tolist()} "
       f"-> pooled columns {pooled_mask.tolist()}")
 

@@ -20,12 +20,9 @@ from .attention import (
     head_merge,
     head_split,
     msa_baseline,
-    msa_baseline_pooled,
     pool_index_set,
     pool_tokens,
-    pooled_kv,
     qk_sparse_update,
-    qk_sparse_update_nonoverlap,
 )
 from .block import (
     BlockWeights,
@@ -66,17 +63,7 @@ from .harness import (
     write_summary_json,
     write_sweep_csv,
 )
-from .kernels import (
-    gather_rows,
-    gelu,
-    layer_norm,
-    matmul,
-    mlp,
-    row_l2_norms,
-    scatter_cols,
-    scatter_rows,
-    softmax_rows,
-)
+from .kernels import gelu, layer_norm, row_l2_norms, softmax_rows
 from .rng import SplitRng
 from .streams import StreamConfig, gen_stream
 

@@ -31,7 +31,6 @@ from .kernels import (
     IndexSet,
     TokenMatrix,
     as_index_set,
-    complement_indices,
     full_index_set,
     softmax_rows,
 )
@@ -102,67 +101,40 @@ def _attend_heads(q, k, v, heads, ledger):
 
 
 def msa_baseline(x_norm: TokenMatrix, w: AttentionWeights,
-                 ledger: CostLedger | None = None) -> TokenMatrix:
-    """Exact multi-headed self-attention of pre-normalized tokens."""
+                 ledger: CostLedger | None = None, pool: int = 1) -> TokenMatrix:
+    """Exact multi-headed self-attention of pre-normalized tokens.
+
+    A pool factor above 1 mean-pools keys and values on the token grid
+    before attending (see ``pool_tokens``); 1 leaves them as they are.
+    """
     ledger = ledger or NullLedger()
+    grid = _pool_grid(x_norm.shape[0], pool)
     q = _project(x_norm, w.wq, w.bq, ledger)
-    k = _project(x_norm, w.wk, w.bk, ledger)
-    v = _project(x_norm, w.wv, w.bv, ledger)
+    k = pool_tokens(_project(x_norm, w.wk, w.bk, ledger), grid, pool)
+    v = pool_tokens(_project(x_norm, w.wv, w.bv, ledger), grid, pool)
     merged = head_merge(_attend_heads(q, k, v, w.heads, ledger))
     return _project(merged, w.wp, w.bp, ledger)
 
 
-def msa_baseline_pooled(x_norm: TokenMatrix, w: AttentionWeights, pool: int,
-                        ledger: CostLedger | None = None) -> TokenMatrix:
-    """Exact attention with keys and values mean-pooled on the token grid."""
-    ledger = ledger or NullLedger()
-    q = _project(x_norm, w.wq, w.bq, ledger)
-    k = _project(x_norm, w.wk, w.bk, ledger)
-    v = _project(x_norm, w.wv, w.bv, ledger)
-    grid = _grid_side(x_norm.shape[0])
-    merged = head_merge(_attend_heads(q, pool_tokens(k, grid, pool),
-                                      pool_tokens(v, grid, pool),
-                                      w.heads, ledger))
-    return _project(merged, w.wp, w.bp, ledger)
-
-
 def qk_sparse_update(b_matrix: TokenMatrix, q_buf: TokenMatrix, k_buf: TokenMatrix,
-                     q_new: TokenMatrix, k_new: TokenMatrix, idx: IndexSet,
-                     ledger: CostLedger | None = None) -> None:
-    """Patch the similarity matrix in place after rows idx of q and k changed.
+                     q_new: TokenMatrix, k_new: TokenMatrix, rows: IndexSet,
+                     cols: IndexSet, ledger: CostLedger | None = None) -> None:
+    """Patch the similarity matrix in place after queries ``rows`` and keys
+    ``cols`` changed.
 
-    ``q_buf``/``k_buf`` must already contain the fresh rows.  Rows idx are
-    recomputed against all keys, then columns idx against all queries; the
-    overlap block is computed twice, which keeps the update at two plain
-    dense products.
+    ``q_buf``/``k_buf`` must already contain the fresh rows, which are also
+    passed as ``q_new``/``k_new``.  Rows are recomputed against all keys,
+    then columns against all queries; the overlap block is computed twice,
+    which keeps the update at two plain dense products.  Without pooling
+    ``rows`` and ``cols`` are the same index set.
     """
     ledger = ledger or NullLedger()
     if b_matrix.shape != (q_buf.shape[0], k_buf.shape[0]):
         raise ValueError("similarity shape must be (queries, keys)")
-    idx = as_index_set(idx, b_matrix.shape[0])
-    if idx.size == 0:
-        return
-    b_matrix[idx, :] = ledger.matmul("qk", q_new, k_buf.T)
-    b_matrix[:, idx] = ledger.matmul("qk", q_buf, k_new.T)
-
-
-def qk_sparse_update_nonoverlap(b_matrix, q_buf, k_buf, q_new, k_new, idx,
-                                ledger: CostLedger | None = None) -> None:
-    """Same result as qk_sparse_update with the overlap block computed once.
-
-    The column pass multiplies only the query rows *outside* idx and
-    scatters through both axes, cutting that pass from n*m*dh MACs down to
-    (n-m)*m*dh.
-    """
-    ledger = ledger or NullLedger()
-    if b_matrix.shape != (q_buf.shape[0], k_buf.shape[0]):
-        raise ValueError("similarity shape must be (queries, keys)")
-    idx = as_index_set(idx, b_matrix.shape[0])
-    if idx.size == 0:
-        return
-    b_matrix[idx, :] = ledger.matmul("qk", q_new, k_buf.T)
-    rest = complement_indices(idx, q_buf.shape[0])
-    b_matrix[np.ix_(rest, idx)] = ledger.matmul("qk", q_buf[rest], k_new.T)
+    rows = as_index_set(rows, b_matrix.shape[0])
+    cols = as_index_set(cols, b_matrix.shape[1])
+    b_matrix[rows, :] = ledger.matmul("qk", q_new, k_buf.T)
+    b_matrix[:, cols] = ledger.matmul("qk", q_buf, k_new.T)
 
 
 def av_delta_update(av: TokenMatrix, attn_now: TokenMatrix, a_gate: DeltaGate,
@@ -193,7 +165,12 @@ def av_delta_update(av: TokenMatrix, attn_now: TokenMatrix, a_gate: DeltaGate,
     ledger.count_adds(2 * av.size)    # summing the terms, accumulating into av
 
 
-def _grid_side(n: int) -> int:
+def _pool_grid(n: int, pool: int) -> int:
+    """Side of the square grid of n tokens that pooling needs; 0 for pool 1."""
+    if pool < 1:
+        raise ValueError("pool factor must be at least 1")
+    if pool == 1:
+        return 0
     side = int(round(np.sqrt(n)))
     if side * side != n:
         raise ValueError(f"{n} tokens do not form a square grid")
@@ -201,9 +178,12 @@ def _grid_side(n: int) -> int:
 
 
 def pool_tokens(x: TokenMatrix, grid: int, pool: int) -> TokenMatrix:
-    """Mean-pool a row-major (grid x grid) token field down by pool x pool."""
+    """Mean-pool a row-major (grid x grid) token field down by pool x pool.
+
+    Pool 1 is the identity and returns x itself.
+    """
     if pool == 1:
-        return x.copy()
+        return x
     if grid % pool:
         raise ValueError("pool size must divide the grid side")
     n, d = x.shape
@@ -215,24 +195,18 @@ def pool_tokens(x: TokenMatrix, grid: int, pool: int) -> TokenMatrix:
 
 
 def pool_index_set(idx: IndexSet, grid: int, pool: int) -> IndexSet:
-    """Pooled positions whose patch intersects idx (max-pool of the mask)."""
-    idx = as_index_set(idx, grid * grid)
+    """Pooled positions whose patch intersects idx (max-pool of the mask).
+
+    Pool 1 is the identity and returns idx itself.
+    """
     if pool == 1:
-        return idx.copy()
+        return idx
+    idx = as_index_set(idx, grid * grid)
     if grid % pool:
         raise ValueError("pool size must divide the grid side")
     g = grid // pool
     pooled = (idx // grid // pool) * g + (idx % grid) // pool
     return np.unique(pooled)
-
-
-def pooled_kv(k_full: TokenMatrix, v_full: TokenMatrix, mask: IndexSet,
-              grid: int, pool: int) -> tuple[TokenMatrix, TokenMatrix, IndexSet]:
-    """Pooled key/value fields plus the pooled image of an active-token mask."""
-    if k_full.shape != v_full.shape:
-        raise ValueError("key and value fields must have the same shape")
-    return (pool_tokens(k_full, grid, pool), pool_tokens(v_full, grid, pool),
-            pool_index_set(mask, grid, pool))
 
 
 class AttentionState:
@@ -256,8 +230,8 @@ class AttentionState:
         self.dh = d // heads
         self.mode = mode
         self.pool = pool
-        self.grid = _grid_side(n) if pool > 1 else 0
-        self.n_kv = n // (pool * pool) if pool > 1 else n
+        self.grid = _pool_grid(n, pool)
+        self.n_kv = n // (pool * pool)
         self.ledger = ledger or NullLedger()
         self.q_buf = Buffer(n, d)
         self.k_buf = Buffer(n, d)
@@ -273,18 +247,14 @@ class AttentionState:
              v_new: TokenMatrix) -> TokenMatrix:
         """Fold in freshly projected rows at idx; return the weighted values."""
         q = self.q_buf(idx, q_new)
-        k = self.k_buf(idx, k_new)
-        v = self.v_buf(idx, v_new)
-        if self.pool > 1:
-            k_kv, v_kv, idx_kv = pooled_kv(k, v, idx, self.grid, self.pool)
-            k_new_kv = k_kv[idx_kv]
-        else:
-            k_kv, v_kv, idx_kv, k_new_kv = k, v, idx, k_new
+        k = pool_tokens(self.k_buf(idx, k_new), self.grid, self.pool)
+        v = pool_tokens(self.v_buf(idx, v_new), self.grid, self.pool)
         if self.mode == "tokenwise_only":
-            return head_merge(_attend_heads(q, k_kv, v_kv, self.heads, self.ledger))
+            return head_merge(_attend_heads(q, k, v, self.heads, self.ledger))
         if not self.flushed:
-            return self._flush(q, k_kv, v_kv)
-        return self._advance(q, k_kv, v_kv, q_new, k_new_kv, idx, idx_kv)
+            return self._flush(q, k, v)
+        cols = pool_index_set(idx, self.grid, self.pool)
+        return self._advance(q, k, v, q_new, k[cols], idx, cols)
 
     def _flush(self, q, k_kv, v_kv):
         qh, kh = head_split(q, self.heads), head_split(k_kv, self.heads)
@@ -299,7 +269,7 @@ class AttentionState:
         self.flushed = True
         return head_merge(self.av)
 
-    def _advance(self, q, k_kv, v_kv, q_new, k_new_kv, idx, idx_kv):
+    def _advance(self, q, k_kv, v_kv, q_new, k_new_kv, rows, cols):
         qh, kh = head_split(q, self.heads), head_split(k_kv, self.heads)
         qh_new = head_split(q_new, self.heads)
         kh_new = head_split(k_new_kv, self.heads)
@@ -309,12 +279,8 @@ class AttentionState:
         vh_now = head_split(u_v[v_idx], self.heads)
         vh_delta = head_split(v_changes, self.heads)
         for h in range(self.heads):
-            if self.pool == 1:
-                qk_sparse_update(self.b[h], qh[h], kh[h], qh_new[h], kh_new[h],
-                                 idx, self.ledger)
-            elif idx.size:
-                self.b[h][idx, :] = self.ledger.matmul("qk", qh_new[h], kh[h].T)
-                self.b[h][:, idx_kv] = self.ledger.matmul("qk", qh[h], kh_new[h].T)
+            qk_sparse_update(self.b[h], qh[h], kh[h], qh_new[h], kh_new[h],
+                             rows, cols, self.ledger)
             attn = softmax_rows(self.b[h] / np.sqrt(self.dh))
             self.ledger.count_nonlinear(attn.size)
             av_delta_update(self.av[h], attn, self.a_gates[h], v_idx,

@@ -25,12 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attention import (
-    AttentionState,
-    AttentionWeights,
-    msa_baseline,
-    msa_baseline_pooled,
-)
+from .attention import AttentionState, AttentionWeights, msa_baseline
 from .costs import CostLedger, NullLedger
 from .gates import Buffer, Gate, Policy, StgtGate
 from .kernels import TokenMatrix, gelu, layer_norm
@@ -99,10 +94,7 @@ def block_baseline(x: TokenMatrix, w: BlockWeights, pool_p: int = 1,
     ledger = ledger or NullLedger()
     xn = layer_norm(x, w.ln1_gamma, w.ln1_beta)
     ledger.count_nonlinear(xn.size)
-    if pool_p > 1:
-        y = msa_baseline_pooled(xn, w.attn, pool_p, ledger) + x
-    else:
-        y = msa_baseline(xn, w.attn, ledger) + x
+    y = msa_baseline(xn, w.attn, ledger, pool_p) + x
     yn = layer_norm(y, w.ln2_gamma, w.ln2_beta)
     ledger.count_nonlinear(yn.size)
     return _mlp_forward(yn, w, ledger) + y
@@ -309,6 +301,8 @@ class Model:
         if frame.shape != (self.cfg.n, self.cfg.d):
             raise ValueError(f"expected frame of shape {(self.cfg.n, self.cfg.d)}, "
                              f"got {frame.shape}")
+        if not np.isfinite(frame).all():
+            raise ValueError("frame has non-finite entries")
         return frame + self.weights.pos_embed
 
     def head(self, tokens: TokenMatrix) -> np.ndarray:
@@ -327,9 +321,9 @@ class Model:
 
     def step(self, frame: TokenMatrix) -> tuple[TokenMatrix, np.ndarray]:
         """Gated stateful forward pass for the next frame of the stream."""
+        tokens = self.embed(frame)    # rejects a bad frame before any state changes
         flushing = not self.blocks[0].flushed if self.blocks else False
         self.ledger.begin_frame(flush=flushing)
-        tokens = self.embed(frame)
         for block in self.blocks:
             tokens = block.step(tokens)
         self.ledger.end_frame()

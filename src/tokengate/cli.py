@@ -44,9 +44,30 @@ from .harness import (
 from .streams import StreamConfig, gen_stream
 
 
+# keys each config section accepts; "schedule" is a plain list
+_SECTION_KEYS = {
+    "model": {"blocks", "N", "D", "H", "mlp_ratio", "mode", "pool_p", "seed"},
+    "stream": {"mode", "rho", "sigma", "eps", "frames", "seed"},
+    "policy": {"kind", "r", "h"},
+}
+
+
+def _reject_unknown_keys(doc):
+    for key in doc:
+        if key not in _SECTION_KEYS and key != "schedule":
+            raise ValueError(f"unknown config key {key!r}")
+    for section, allowed in _SECTION_KEYS.items():
+        for key in doc.get(section, {}):
+            if key not in allowed:
+                raise ValueError(f"unknown key {key!r} in config section "
+                                 f"{section!r}")
+
+
 def load_config(path) -> tuple[ModelConfig, StreamConfig, list[int] | None]:
+    """Parse a config document; unknown keys raise ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
+    _reject_unknown_keys(doc)
     model = doc.get("model", {})
     stream = doc.get("stream", {})
     policy_doc = doc.get("policy", {})

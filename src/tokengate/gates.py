@@ -82,7 +82,9 @@ class Gate:
 
     Selected tokens have their reference overwritten with the current input;
     unselected references are left untouched, so their error keeps
-    accumulating until the policy picks them.
+    accumulating until the policy picks them.  Subclasses change what a call
+    returns (DeltaGate) or how the reference is refreshed (StgtGate); the
+    check, flush and selection are shared.
     """
 
     def __init__(self, n: int, width: int, policy: Policy):
@@ -96,25 +98,40 @@ class Gate:
     def initialized(self) -> bool:
         return self.u is not None
 
-    def _check(self, c: TokenMatrix) -> TokenMatrix:
+    def _select(self, c: TokenMatrix,
+                idx: IndexSet | None = None) -> tuple[TokenMatrix, IndexSet, bool]:
+        """Validate c and pick the tokens to refresh; returns (c, idx, flush).
+
+        The first call flushes: every token is selected and the reference
+        becomes a copy of c.  Later calls take idx from the policy applied to
+        the per-token distance between c and the reference, unless idx is
+        given.
+        """
         c = np.asarray(c, dtype=np.float64)
         if c.shape != (self.n, self.width):
             raise ValueError(f"expected input of shape {(self.n, self.width)}, "
                              f"got {c.shape}")
-        return c
-
-    def __call__(self, c: TokenMatrix) -> tuple[IndexSet, TokenMatrix]:
-        c = self._check(c)
-        if self.u is None:
+        flush = self.u is None
+        if flush:
             self.u = c.copy()
             idx = full_index_set(self.n)
-            self.last_idx = idx
-            return idx, c.copy()
-        err = c - self.u
-        idx = self.policy.select(row_l2_norms(err))
-        picked = c[idx].copy()
-        self.u[idx] = picked
+        elif idx is None:
+            idx = self.policy.select(row_l2_norms(c - self.u))
+        else:
+            idx = as_index_set(idx, self.n)
         self.last_idx = idx
+        return c, idx, flush
+
+    def _refresh(self, c: TokenMatrix, idx: IndexSet, picked: TokenMatrix):
+        """Reference-update rule: overwrite the selected rows only."""
+        self.u[idx] = picked
+
+    def __call__(self, c: TokenMatrix) -> tuple[IndexSet, TokenMatrix]:
+        c, idx, flush = self._select(c)
+        if flush:
+            return idx, c.copy()
+        picked = c[idx]
+        self._refresh(c, idx, picked)
         return idx, picked
 
 
@@ -128,15 +145,8 @@ class DeltaGate(Gate):
     """
 
     def __call__(self, c: TokenMatrix) -> tuple[IndexSet, TokenMatrix, TokenMatrix]:
-        c = self._check(c)
-        if self.u is None:
-            self.u = c.copy()
-            idx = full_index_set(self.n)
-            self.last_idx = idx
-            return idx, self.u, c.copy()
-        err = c - self.u
-        idx = self.policy.select(row_l2_norms(err))
-        return idx, *self._apply(c, err, idx)
+        c, idx, flush = self._select(c)
+        return (idx, *self._delta(c, idx, flush))
 
     def forced(self, c: TokenMatrix, idx: IndexSet) -> tuple[TokenMatrix, TokenMatrix]:
         """Skip the policy and update exactly the externally chosen indices.
@@ -144,25 +154,18 @@ class DeltaGate(Gate):
         A first call flushes (all tokens) regardless of idx, preserving the
         flush-totality guarantee.
         """
-        c = self._check(c)
-        if self.u is None:
-            self.u = c.copy()
-            self.last_idx = full_index_set(self.n)
+        return self._delta(*self._select(c, idx))
+
+    def _delta(self, c, idx, flush):
+        if flush:
             return self.u, c.copy()
-        idx = as_index_set(idx, self.n)
-        changes = c[idx] - self.u[idx]
-        self.u[idx] = c[idx]
-        self.last_idx = idx
-        return self.u, changes
-
-    def _apply(self, c, err, idx):
-        changes = err[idx].copy()
-        self.u[idx] = c[idx]
-        self.last_idx = idx
+        fresh = c[idx]
+        changes = fresh - self.u[idx]
+        self.u[idx] = fresh
         return self.u, changes
 
 
-class StgtGate:
+class StgtGate(Gate):
     """Lossy previous-frame gate, reconstructing the prior method's behavior.
 
     Compares against the previous frame's input instead of a per-token
@@ -174,33 +177,8 @@ class StgtGate:
     reconstruction of its gating logic, not a reimplementation.
     """
 
-    def __init__(self, n: int, width: int, policy: Policy):
-        self.n = n
-        self.width = width
-        self.policy = policy
-        self.p: TokenMatrix | None = None
-        self.last_idx: IndexSet | None = None
-
-    @property
-    def initialized(self) -> bool:
-        return self.p is not None
-
-    def __call__(self, c: TokenMatrix) -> tuple[IndexSet, TokenMatrix]:
-        c = np.asarray(c, dtype=np.float64)
-        if c.shape != (self.n, self.width):
-            raise ValueError(f"expected input of shape {(self.n, self.width)}, "
-                             f"got {c.shape}")
-        if self.p is None:
-            self.p = c.copy()
-            idx = full_index_set(self.n)
-            self.last_idx = idx
-            return idx, c.copy()
-        err = self.p - c
-        idx = self.policy.select(row_l2_norms(err))
-        picked = c[idx].copy()
-        self.p = c.copy()
-        self.last_idx = idx
-        return idx, picked
+    def _refresh(self, c, idx, picked):
+        self.u = c.copy()
 
 
 class Buffer:

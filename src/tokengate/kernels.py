@@ -1,4 +1,4 @@
-"""Dense token-matrix kernels: products, normalization, gather/scatter.
+"""Dense token-matrix kernels: index sets, normalization, nonlinearities.
 
 Token matrices are plain float64 ndarrays of shape (tokens, width), row per
 token.  Sparsity is always expressed as a sorted index array plus
@@ -32,22 +32,6 @@ def full_index_set(n: int) -> IndexSet:
     return np.arange(n, dtype=np.int64)
 
 
-def complement_indices(idx: IndexSet, n: int) -> IndexSet:
-    """Ascending indices of [0, n) not present in idx."""
-    keep = np.ones(n, dtype=bool)
-    keep[idx] = False
-    return np.flatnonzero(keep).astype(np.int64)
-
-
-def matmul(a: TokenMatrix, b: TokenMatrix) -> TokenMatrix:
-    """Real matrix product; repeated calls on identical inputs are bit-identical."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
-    return a @ b
-
-
 def softmax_rows(x: TokenMatrix) -> TokenMatrix:
     """Row-wise softmax, stabilized by subtracting each row's max."""
     x = np.asarray(x, dtype=np.float64)
@@ -74,40 +58,6 @@ def gelu(x: np.ndarray) -> np.ndarray:
     """Exact GELU, x * Phi(x), via erf (no tanh approximation)."""
     x = np.asarray(x, dtype=np.float64)
     return 0.5 * x * (1.0 + erf(x / _SQRT2))
-
-
-def mlp(x: TokenMatrix, w1, b1, w2, b2) -> TokenMatrix:
-    """Two-layer token-wise perceptron with one GELU: gelu(x w1 + b1) w2 + b2."""
-    hidden = gelu(matmul(x, w1) + np.asarray(b1, dtype=np.float64))
-    return matmul(hidden, w2) + np.asarray(b2, dtype=np.float64)
-
-
-def gather_rows(x: TokenMatrix, idx: IndexSet) -> TokenMatrix:
-    """Rows of x at idx, in ascending-index order.  Always a copy."""
-    idx = as_index_set(idx, x.shape[0])
-    return x[idx].copy()
-
-
-def scatter_rows(dst: TokenMatrix, idx: IndexSet, src: TokenMatrix) -> TokenMatrix:
-    """Copy of dst with rows at idx replaced by the rows of src."""
-    idx = as_index_set(idx, dst.shape[0])
-    if src.shape[0] != idx.size or src.shape[1] != dst.shape[1]:
-        raise ValueError(f"source shape {src.shape} does not match {idx.size} rows "
-                         f"of width {dst.shape[1]}")
-    out = dst.copy()
-    out[idx] = src
-    return out
-
-
-def scatter_cols(dst: TokenMatrix, idx: IndexSet, src: TokenMatrix) -> TokenMatrix:
-    """Copy of dst with columns at idx replaced by the columns of src."""
-    idx = as_index_set(idx, dst.shape[1])
-    if src.shape[1] != idx.size or src.shape[0] != dst.shape[0]:
-        raise ValueError(f"source shape {src.shape} does not match {idx.size} cols "
-                         f"of height {dst.shape[0]}")
-    out = dst.copy()
-    out[:, idx] = src
-    return out
 
 
 def row_l2_norms(x: TokenMatrix) -> np.ndarray:

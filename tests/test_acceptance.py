@@ -9,11 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from tokengate.attention import (
-    av_delta_update,
-    qk_sparse_update,
-    qk_sparse_update_nonoverlap,
-)
+from tokengate.attention import av_delta_update, qk_sparse_update
 from tokengate.block import GatedBlock, Model, ModelConfig, init_model_weights
 from tokengate.costs import (
     CostLedger,
@@ -25,6 +21,8 @@ from tokengate.gates import DeltaGate, Policy, threshold_indices, top_r_indices
 from tokengate.harness import measure_walltime, run_pair, sweep_budget
 from tokengate.rng import SplitRng
 from tokengate.streams import StreamConfig, gen_stream
+
+from oracles import qk_sparse_update_nonoverlap
 
 
 def report(name, passed, detail):
@@ -59,7 +57,7 @@ def test_criterion_02_qk_invariant_random_instances():
         idx = rng.choice_without_replacement(n, m)
         q[idx] = rng.normal((m, dh))
         k[idx] = rng.normal((m, dh))
-        qk_sparse_update(b, q, k, q[idx], k[idx], idx)
+        qk_sparse_update(b, q, k, q[idx], k[idx], idx, idx)
         qk_sparse_update_nonoverlap(b2, q, k, q[idx], k[idx], idx)
         worst_scratch = max(worst_scratch, float(np.abs(b - q @ k.T).max()))
         worst_agree = max(worst_agree, float(np.abs(b - b2).max()))

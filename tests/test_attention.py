@@ -10,16 +10,15 @@ from tokengate.attention import (
     head_merge,
     head_split,
     msa_baseline,
-    msa_baseline_pooled,
     pool_index_set,
     pool_tokens,
-    pooled_kv,
     qk_sparse_update,
-    qk_sparse_update_nonoverlap,
 )
 from tokengate.costs import CostLedger
 from tokengate.gates import DeltaGate, Policy
 from tokengate.rng import SplitRng
+
+from oracles import qk_sparse_update_nonoverlap
 
 
 def msa_scalar_oracle(x, wq, wk, wv, wp, heads):
@@ -134,14 +133,14 @@ class TestQkSparseUpdate:
         idx = np.arange(4)
         q[idx] = rng.normal((4, 3))
         k[idx] = rng.normal((4, 3))
-        qk_sparse_update(b, q, k, q[idx], k[idx], idx)
+        qk_sparse_update(b, q, k, q[idx], k[idx], idx, idx)
         np.testing.assert_allclose(b, q @ k.T, atol=1e-12)
 
     def test_empty_update_unchanged(self):
         _, q, k, b = self._instance(6, 4, 3)
         before = b.copy()
         qk_sparse_update(b, q, k, np.empty((0, 3)), np.empty((0, 3)),
-                         np.empty(0, int))
+                         np.empty(0, int), np.empty(0, int))
         np.testing.assert_array_equal(b, before)
 
     def test_single_token_all_entries(self):
@@ -149,7 +148,7 @@ class TestQkSparseUpdate:
         idx = np.array([1])
         q[1] = rng.normal(2)
         k[1] = rng.normal(2)
-        qk_sparse_update(b, q, k, q[idx], k[idx], idx)
+        qk_sparse_update(b, q, k, q[idx], k[idx], idx, idx)
         np.testing.assert_allclose(b, q @ k.T, atol=1e-12)
 
     def test_random_instances_match_from_scratch(self):
@@ -163,8 +162,20 @@ class TestQkSparseUpdate:
             idx = rng.choice_without_replacement(n, m)
             q[idx] = rng.normal((m, dh))
             k[idx] = rng.normal((m, dh))
-            qk_sparse_update(b, q, k, q[idx], k[idx], idx)
+            qk_sparse_update(b, q, k, q[idx], k[idx], idx, idx)
             assert np.abs(b - q @ k.T).max() < 1e-6
+
+    def test_row_and_column_sets_differ(self):
+        # pooled keys: 8 queries against 3 keys, different changed sets
+        rng = SplitRng(12)
+        q, k = rng.normal((8, 4)), rng.normal((3, 4))
+        b = q @ k.T
+        rows, cols = np.array([1, 5, 6]), np.array([2])
+        q[rows], k[cols] = rng.normal((3, 4)), rng.normal((1, 4))
+        ledger = CostLedger()
+        qk_sparse_update(b, q, k, q[rows], k[cols], rows, cols, ledger)
+        np.testing.assert_allclose(b, q @ k.T, atol=1e-12)
+        assert ledger.macs["qk"] == 3 * 3 * 4 + 8 * 1 * 4
 
     def test_nonoverlap_equivalence(self):
         rng = SplitRng(9)
@@ -178,7 +189,7 @@ class TestQkSparseUpdate:
             idx = rng.choice_without_replacement(n, m)
             q[idx] = rng.normal((m, dh))
             k[idx] = rng.normal((m, dh))
-            qk_sparse_update(b1, q, k, q[idx], k[idx], idx)
+            qk_sparse_update(b1, q, k, q[idx], k[idx], idx, idx)
             qk_sparse_update_nonoverlap(b2, q, k, q[idx], k[idx], idx)
             assert np.abs(b1 - b2).max() < 1e-6
 
@@ -198,7 +209,7 @@ class TestQkSparseUpdate:
         b = q @ k.T
         idx = rng.choice_without_replacement(n, m)
         led_a, led_b = CostLedger(), CostLedger()
-        qk_sparse_update(b.copy(), q, k, q[idx], k[idx], idx, led_a)
+        qk_sparse_update(b.copy(), q, k, q[idx], k[idx], idx, idx, led_a)
         qk_sparse_update_nonoverlap(b.copy(), q, k, q[idx], k[idx], idx, led_b)
         assert led_a.macs["qk"] == 2 * n * m * dh
         assert led_b.macs["qk"] == n * m * dh + (n - m) * m * dh
@@ -281,14 +292,15 @@ class TestPooling:
     def test_four_tokens_to_one(self):
         k = np.arange(8.0).reshape(4, 2)
         v = k + 10
-        kp, vp, pidx = pooled_kv(k, v, np.array([0]), grid=2, pool=2)
+        kp, vp = pool_tokens(k, 2, 2), pool_tokens(v, 2, 2)
+        pidx = pool_index_set(np.array([0]), 2, 2)
         np.testing.assert_allclose(kp, k.mean(axis=0, keepdims=True))
         np.testing.assert_allclose(vp, v.mean(axis=0, keepdims=True))
         np.testing.assert_array_equal(pidx, [0])
 
     def test_pool_one_is_identity(self):
         x = SplitRng(15).normal((9, 3))
-        np.testing.assert_array_equal(pool_tokens(x, 3, 1), x)
+        assert pool_tokens(x, 3, 1) is x
         np.testing.assert_array_equal(pool_index_set(np.array([2, 5]), 3, 1),
                                       [2, 5])
 
@@ -308,6 +320,8 @@ class TestPooling:
             pool_tokens(np.zeros((6, 2)), 3, 2)  # pool does not divide grid
         with pytest.raises(ValueError):
             pool_tokens(np.zeros((8, 2)), 3, 3)  # token count not grid**2
+        with pytest.raises(ValueError):
+            AttentionState(16, 4, 2, Policy(), pool=0)  # pool factor below 1
 
 
 class TestAttentionState:
@@ -386,14 +400,14 @@ class TestPooledBaseline:
         rng = SplitRng(20)
         w = random_weights(rng, 4, 2)
         x = rng.normal((4, 4))
-        np.testing.assert_allclose(msa_baseline_pooled(x, w, 1),
-                                   msa_baseline(x, w), atol=1e-12)
+        np.testing.assert_array_equal(msa_baseline(x, w, pool=1),
+                                      msa_baseline(x, w))
 
     def test_pooled_scores_have_reduced_key_axis(self):
         rng = SplitRng(21)
         w = random_weights(rng, 4, 2)
         x = rng.normal((16, 4))
         ledger = CostLedger()
-        msa_baseline_pooled(x, w, 2, ledger)
+        msa_baseline(x, w, ledger, 2)
         # qk cost: per head 16 queries x 4 pooled keys x dh=2 -> 2 heads = 256
         assert ledger.macs["qk"] == 16 * 4 * 2 * 2

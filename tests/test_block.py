@@ -12,10 +12,16 @@ from tokengate.block import (
     weights_from_tensors,
     weights_to_tensors,
 )
+from tokengate.costs import CostLedger
 from tokengate.gates import Policy
-from tokengate.kernels import layer_norm, mlp
+from tokengate.kernels import gelu, layer_norm
 from tokengate.rng import SplitRng
 from tokengate.streams import StreamConfig, gen_stream
+
+
+def mlp(x, w1, b1, w2, b2):
+    """Reference two-layer perceptron: gelu(x w1 + b1) w2 + b2."""
+    return gelu(x @ w1 + b1) @ w2 + b2
 
 
 def rel_err(a, b):
@@ -215,6 +221,26 @@ class TestModel:
         model = Model(ModelConfig(blocks=1, n=8, d=4, heads=2, seed=26))
         with pytest.raises(ValueError):
             model.step(np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frame_rejected_without_touching_state(self, bad):
+        n = 16
+        cfg = ModelConfig(blocks=2, n=n, d=8, heads=2, seed=27,
+                          policy=Policy("top_r", r=n))
+        frames = gen_stream(StreamConfig(n=n, d=8, frames=10, seed=28))
+        frames[1, 3, 2] = bad
+        ledger = CostLedger()
+        model = Model(cfg, ledger=ledger)
+        model.step(frames[0])
+        macs = dict(ledger.macs)
+        for run in (model.step, model.baseline_frame):
+            with pytest.raises(ValueError, match="non-finite"):
+                run(frames[1])
+        assert ledger.macs == macs and len(ledger.frames) == 1
+        for frame in frames[2:]:
+            tokens, _ = model.step(frame)
+            exact, _ = model.baseline_frame(frame)
+            assert rel_err(tokens, exact) < 1e-5
 
 
 class TestWeightSerialization:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tokengate.cli import main
+from tokengate.cli import load_config, main
 
 CONFIG = {
     "model": {"blocks": 2, "N": 16, "D": 8, "H": 2, "mlp_ratio": 4,
@@ -21,6 +21,19 @@ def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(CONFIG))
     return str(path)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"model": {"n": 64}}, "n"),
+    ({"modle": {}}, "modle"),
+    ({"stream": {"frame": 3}}, "frame"),
+    ({"policy": {"kind": "top_r", "R": 4}}, "R"),
+])
+def test_load_config_rejects_unknown_keys(tmp_path, doc, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=repr(key)):
+        load_config(str(path))
 
 
 def test_run_writes_csv_and_summary(config_path, tmp_path, capsys):

@@ -262,7 +262,7 @@ class TestStgtGate:
         lossy_max, ref_max = [], []
         for t in range(1, 10):
             frame = base + t * delta
-            lossy_max.append(np.linalg.norm(lossy.p - frame, axis=1).max())
+            lossy_max.append(np.linalg.norm(lossy.u - frame, axis=1).max())
             ref_max.append(np.linalg.norm(referenced.u - frame, axis=1).max())
             lossy(frame)
             referenced(frame)
@@ -278,4 +278,4 @@ class TestStgtGate:
         gate(np.array([[0.0], [0.0]]))
         c = np.array([[5.0], [6.0]])
         gate(c)
-        np.testing.assert_array_equal(gate.p, c)
+        np.testing.assert_array_equal(gate.u, c)

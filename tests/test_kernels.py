@@ -1,22 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tokengate.kernels import (
-    as_index_set,
-    complement_indices,
-    gather_rows,
-    gelu,
-    layer_norm,
-    matmul,
-    mlp,
-    row_l2_norms,
-    scatter_cols,
-    scatter_rows,
-    softmax_rows,
-)
+from tokengate.block import _mlp_forward
+from tokengate.costs import CostLedger, NullLedger
+from tokengate.kernels import as_index_set, gelu, layer_norm, row_l2_norms, softmax_rows
+
+from oracles import complement_indices
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -25,6 +19,17 @@ def small_matrix(max_rows=6, max_cols=6):
     return st.integers(1, max_rows).flatmap(
         lambda r: st.integers(1, max_cols).flatmap(
             lambda c: arrays(np.float64, (r, c), elements=finite)))
+
+
+def matmul(a, b):
+    """The library's one product kernel: every product goes through a ledger."""
+    return CostLedger().matmul("token_wise", a, b)
+
+
+def mlp(x, w1, b1, w2, b2):
+    """The block's MLP, as GatedBlock and block_baseline run it."""
+    w = SimpleNamespace(w1=w1, b1=b1, w2=w2, b2=b2)
+    return _mlp_forward(x, w, NullLedger())
 
 
 class TestMatmul:
@@ -163,62 +168,6 @@ class TestMlp:
         # at x=1 the exact form gives 0.841345..., the tanh approximation 0.841192
         np.testing.assert_allclose(gelu(np.array([1.0]))[0], 0.8413447460685429,
                                    rtol=1e-12)
-
-
-class TestGatherScatter:
-    def test_gather_all_is_copy(self):
-        x = np.arange(6.0).reshape(3, 2)
-        out = gather_rows(x, np.arange(3))
-        np.testing.assert_array_equal(out, x)
-        out[0, 0] = 99
-        assert x[0, 0] == 0
-
-    def test_gather_empty(self):
-        assert gather_rows(np.ones((3, 2)), np.empty(0, int)).shape == (0, 2)
-
-    def test_gather_hand_case(self):
-        x = np.array([[1.0], [2.0], [3.0]])
-        np.testing.assert_array_equal(gather_rows(x, [0, 2]), [[1.0], [3.0]])
-
-    def test_scatter_all_replaces(self):
-        dst = np.zeros((2, 2))
-        src = np.ones((2, 2))
-        np.testing.assert_array_equal(scatter_rows(dst, [0, 1], src), src)
-
-    def test_scatter_empty_unchanged(self):
-        dst = np.ones((3, 2))
-        out = scatter_rows(dst, np.empty(0, int), np.empty((0, 2)))
-        np.testing.assert_array_equal(out, dst)
-
-    def test_scatter_hand_case(self):
-        dst = np.zeros((3, 1))
-        out = scatter_rows(dst, [1], np.array([[7.0]]))
-        np.testing.assert_array_equal(out, [[0.0], [7.0], [0.0]])
-        np.testing.assert_array_equal(dst, 0.0)
-
-    def test_scatter_cols(self):
-        dst = np.zeros((2, 3))
-        out = scatter_cols(dst, [0, 2], np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_array_equal(out, [[1.0, 0.0, 2.0], [3.0, 0.0, 4.0]])
-
-    def test_errors(self):
-        with pytest.raises(IndexError):
-            gather_rows(np.ones((3, 2)), [0, 3])
-        with pytest.raises(ValueError):
-            gather_rows(np.ones((3, 2)), [1, 1])
-        with pytest.raises(ValueError):
-            scatter_rows(np.ones((3, 2)), [0], np.ones((2, 2)))
-
-    @settings(deadline=None)
-    @given(small_matrix(), st.data())
-    def test_gather_scatter_roundtrip(self, x, data):
-        n = x.shape[0]
-        size = data.draw(st.integers(0, n))
-        idx = np.array(sorted(data.draw(
-            st.sets(st.integers(0, n - 1), min_size=size, max_size=size))),
-            dtype=np.int64)
-        restored = scatter_rows(x, idx, gather_rows(x, idx))
-        np.testing.assert_array_equal(restored, x)
 
 
 class TestRowNorms:
