@@ -44,7 +44,8 @@ print(f"  MACs: {ledger.macs['qk']} (= 2*N*M*Dh) "
 
 # --- attention-value product ----------------------------------------------
 policy = Policy("top_r", r=m)
-a_gate = DeltaGate(n, n, policy)              # tokens = columns of A
+ledger = CostLedger()
+a_gate = DeltaGate(n, n, policy, ledger)      # tokens = columns of A
 v_gate = DeltaGate(n, dh, policy)
 
 attn = softmax_rows(b / np.sqrt(dh))
@@ -52,7 +53,6 @@ a_gate(attn.T)
 _, u_v, _ = v_gate(rng.normal((n, dh)))
 av = attn @ u_v                               # frame 1: full product
 
-ledger = CostLedger()
 attn = softmax_rows(b / np.sqrt(dh))          # frame 2's attention
 v_idx, u_v, v_changes = v_gate(rng.normal((n, dh)))
 av_delta_update(av, attn, a_gate, v_idx, v_changes, u_v[v_idx], ledger)

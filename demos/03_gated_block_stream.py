@@ -37,7 +37,7 @@ for r in (n, n // 4):
 print("\nlive budget schedule (selection counts follow within one frame):")
 block = GatedBlock(weights.blocks[0], n, Policy("top_r", r=n))
 for frame, r in zip(frames, [n, n, 4, 4, 0, 0, n, n, n, n]):
-    block.set_budget(r)
+    block.policy.set_budget(r)
     block.step(frame)
     print(f"  budget {r:2d} -> tokens recomputed "
           f"{block.selected_counts()['selected_qkv']:2d}")

@@ -7,6 +7,9 @@ budget the row/column updates touch every entry twice, so the ratio dips
 below one.
 """
 
+import tempfile
+from pathlib import Path
+
 from tokengate import ModelConfig, Policy, StreamConfig, sweep_budget
 from tokengate.harness import write_sweep_csv
 
@@ -21,5 +24,7 @@ for row in rows:
     print(f"{row['r']:>3} {row['mean_rel_l2_error']:>14.3e} "
           f"{row['steady_macs_total']:>12d} {row['savings_ratio']:>8.2f}")
 
-write_sweep_csv(rows, "sweep.csv")
-print("\nwrote sweep.csv")
+with tempfile.TemporaryDirectory() as out:
+    path = Path(out) / "sweep.csv"
+    write_sweep_csv(rows, path)
+    print(f"\nwrote {path.name} ({len(path.read_text().splitlines())} lines)")

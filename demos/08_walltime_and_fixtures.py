@@ -7,6 +7,9 @@ manifest + raw little-endian float32) so other implementations can run the
 identical stream.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from tokengate import ModelConfig, Policy, StreamConfig, gen_stream, measure_walltime
@@ -24,8 +27,10 @@ for variant, ms in table.items():
     print(f"  {variant:>15s}: {ms:7.2f}")
 
 frames = gen_stream(stream)
-export_stream("stream_fixture.zip", frames)
-loaded = import_stream("stream_fixture.zip")
-print(f"\nwrote stream_fixture.zip ({frames.shape[0]} frames); "
+with tempfile.TemporaryDirectory() as out:
+    path = Path(out) / "stream_fixture.zip"
+    export_stream(path, frames)
+    loaded = import_stream(path)
+print(f"\nwrote {path.name} ({frames.shape[0]} frames); "
       f"round-trip max dev {np.abs(frames - loaded).max():.1e} "
       f"(float32 storage)")

@@ -146,14 +146,14 @@ def av_delta_update(av: TokenMatrix, attn_now: TokenMatrix, a_gate: DeltaGate,
     value gate's selection, which the attention-side gate is forced to
     reuse; ``v_delta``/``v_now`` are the gathered value changes and updated
     values at idx.  After the call ``av`` equals (gate reference A) @ (gate
-    reference V) up to float rounding, whatever was selected.
+    reference V) up to float rounding, whatever was selected.  The gathered
+    attention changes are counted by ``a_gate`` into its own ledger.
     """
     ledger = ledger or NullLedger()
     if not a_gate.initialized:
         raise ValueError("attention-side gate must be flushed before delta updates")
     idx = as_index_set(idx, attn_now.shape[1])
     u_a, a_changes = a_gate.forced(attn_now.T, idx)
-    ledger.count_adds(idx.size * attn_now.shape[0])
     if idx.size == 0:
         return
     a_now_cols = u_a[idx].T           # queries x selected, refreshed columns
@@ -239,8 +239,9 @@ class AttentionState:
         if mode == "full":
             self.b = np.zeros((heads, n, self.n_kv))
             self.av = np.zeros((heads, n, self.dh))
-            self.a_gates = [DeltaGate(self.n_kv, n, policy) for _ in range(heads)]
-            self.v_gate = DeltaGate(self.n_kv, d, policy)
+            self.a_gates = [DeltaGate(self.n_kv, n, policy, self.ledger)
+                            for _ in range(heads)]
+            self.v_gate = DeltaGate(self.n_kv, d, policy, self.ledger)
         self.flushed = False
 
     def step(self, idx: IndexSet, q_new: TokenMatrix, k_new: TokenMatrix,
@@ -274,8 +275,6 @@ class AttentionState:
         qh_new = head_split(q_new, self.heads)
         kh_new = head_split(k_new_kv, self.heads)
         v_idx, u_v, v_changes = self.v_gate(v_kv)
-        self.ledger.count_adds(v_kv.size)
-        self.ledger.count_macs("gate_overhead", v_kv.size)
         vh_now = head_split(u_v[v_idx], self.heads)
         vh_delta = head_split(v_changes, self.heads)
         for h in range(self.heads):

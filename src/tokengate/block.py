@@ -115,9 +115,9 @@ class GatedBlock:
         self.policy = policy
         self.ledger = ledger or NullLedger()
         gate_cls = StgtGate if mode == "stgt" else Gate
-        self.gate_qkv = gate_cls(n, d, policy)
-        self.gate_p = gate_cls(n, d, policy)
-        self.gate_mlp = gate_cls(n, d, policy)
+        self.gate_qkv = gate_cls(n, d, policy, self.ledger)
+        self.gate_p = gate_cls(n, d, policy, self.ledger)
+        self.gate_mlp = gate_cls(n, d, policy, self.ledger)
         self.p_buf = Buffer(n, d)
         self.mlp_buf = Buffer(n, d)
         attn_mode = "full" if mode in ("full", "spatial_pool") else "tokenwise_only"
@@ -129,17 +129,6 @@ class GatedBlock:
     def flushed(self) -> bool:
         return self.gate_qkv.initialized
 
-    def set_budget(self, r: int):
-        """Point every gate of this block at budget r from the next frame on.
-
-        Only meaningful for the fixed-budget policy; a threshold policy
-        ignores it.
-        """
-        if r < 0:
-            raise ValueError("budget must be nonnegative")
-        if self.policy.kind == "top_r":
-            self.policy.r = r
-
     def selected_counts(self) -> dict:
         """Tokens processed by each gated operator on the most recent frame."""
         return {
@@ -150,13 +139,9 @@ class GatedBlock:
 
     def step(self, x: TokenMatrix) -> TokenMatrix:
         w, ledger = self.w, self.ledger
-        flushing = not self.flushed
         xn = layer_norm(x, w.ln1_gamma, w.ln1_beta)
         ledger.count_nonlinear(xn.size)
         idx, picked = self.gate_qkv(xn)
-        if not flushing:
-            ledger.count_adds(xn.size)
-            ledger.count_macs("gate_overhead", xn.size)
         q_new = ledger.matmul("token_wise", picked, w.attn.wq)
         k_new = ledger.matmul("token_wise", picked, w.attn.wk)
         v_new = ledger.matmul("token_wise", picked, w.attn.wv)
@@ -165,9 +150,6 @@ class GatedBlock:
         y_att = self.attn.step(idx, q_new, k_new, v_new)
 
         idx_p, picked_p = self.gate_p(y_att)
-        if not flushing:
-            ledger.count_adds(y_att.size)
-            ledger.count_macs("gate_overhead", y_att.size)
         proj = ledger.matmul("token_wise", picked_p, w.attn.wp)
         if w.attn.bp is not None:
             proj = proj + w.attn.bp
@@ -178,9 +160,6 @@ class GatedBlock:
         yn = layer_norm(y, w.ln2_gamma, w.ln2_beta)
         ledger.count_nonlinear(yn.size)
         idx_m, picked_m = self.gate_mlp(yn)
-        if not flushing:
-            ledger.count_adds(yn.size)
-            ledger.count_macs("gate_overhead", yn.size)
         mlp_out = _mlp_forward(picked_m, w, ledger)
         z_full = self.mlp_buf(idx_m, mlp_out)
         assert z_full.shape == y.shape
@@ -294,8 +273,9 @@ class Model:
         return self.cfg.pool_p if self.cfg.mode == "spatial_pool" else 1
 
     def set_budget(self, r: int):
-        for block in self.blocks:
-            block.set_budget(r)
+        """Point every gate of every block at budget r from the next frame on;
+        raises ValueError under a threshold policy."""
+        self.policy.set_budget(r)
 
     def embed(self, frame: TokenMatrix) -> TokenMatrix:
         if frame.shape != (self.cfg.n, self.cfg.d):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import CostLedger, NullLedger
 from .kernels import (
     IndexSet,
     TokenMatrix,
@@ -48,6 +49,15 @@ class Policy:
             raise ValueError("budget r must be nonnegative")
         if self.kind == "threshold" and self.h < 0:
             raise ValueError("threshold h must be nonnegative")
+
+    def set_budget(self, r: int):
+        """Retarget every gate sharing this policy at budget r from the next
+        frame on; only a top_r policy has a budget."""
+        if self.kind != "top_r":
+            raise ValueError(f"a {self.kind} policy has no budget to set")
+        if r < 0:
+            raise ValueError("budget must be nonnegative")
+        self.r = r
 
     def select(self, norms: np.ndarray) -> IndexSet:
         if self.kind == "top_r":
@@ -84,13 +94,16 @@ class Gate:
     unselected references are left untouched, so their error keeps
     accumulating until the policy picks them.  Subclasses change what a call
     returns (DeltaGate) or how the reference is refreshed (StgtGate); the
-    check, flush and selection are shared.
+    check, flush and selection are shared, and so is counting the gate's own
+    cost into the ledger.
     """
 
-    def __init__(self, n: int, width: int, policy: Policy):
+    def __init__(self, n: int, width: int, policy: Policy,
+                 ledger: CostLedger | None = None):
         self.n = n
         self.width = width
         self.policy = policy
+        self.ledger = ledger or NullLedger()
         self.u: TokenMatrix | None = None
         self.last_idx: IndexSet | None = None
 
@@ -104,8 +117,9 @@ class Gate:
 
         The first call flushes: every token is selected and the reference
         becomes a copy of c.  Later calls take idx from the policy applied to
-        the per-token distance between c and the reference, unless idx is
-        given.
+        the per-token distance between c and the reference, at one
+        subtraction and one squared-norm MAC per element, unless idx is given;
+        then only the gathered changes cost a subtraction each.
         """
         c = np.asarray(c, dtype=np.float64)
         if c.shape != (self.n, self.width):
@@ -117,8 +131,11 @@ class Gate:
             idx = full_index_set(self.n)
         elif idx is None:
             idx = self.policy.select(row_l2_norms(c - self.u))
+            self.ledger.count_adds(c.size)
+            self.ledger.count_macs("gate_overhead", c.size)
         else:
             idx = as_index_set(idx, self.n)
+            self.ledger.count_adds(idx.size * self.width)
         self.last_idx = idx
         return c, idx, flush
 

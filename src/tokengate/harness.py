@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .block import Model, ModelConfig
-from .costs import CostLedger, savings_ratio
+from .costs import CostLedger, NullLedger, savings_ratio
 from .gates import Policy
 from .streams import StreamConfig, gen_stream
 
@@ -74,12 +74,24 @@ class RunReport:
         }
 
 
-def _effective_r(policy, schedule, frame_index):
-    if schedule:
-        return schedule[min(frame_index, len(schedule) - 1)]
-    if policy.kind == "top_r":
-        return policy.r
-    return -1
+def _paired_steps(model: Model, frames, schedule: list[int] | None = None,
+                  oracle_ledger: CostLedger | None = None):
+    """Per frame: apply the budget schedule, run the exact oracle into
+    ``oracle_ledger``, then the gated step.  Yields (t, exact, exact ms,
+    gated, gated ms); each output is a (tokens, scores) pair."""
+    oracle_ledger = oracle_ledger or NullLedger()
+    for t, frame in enumerate(frames):
+        if schedule:
+            model.set_budget(schedule[min(t, len(schedule) - 1)])
+        oracle_ledger.begin_frame(flush=(t == 0))
+        start = time.perf_counter()
+        exact = model.baseline_frame(frame, oracle_ledger)
+        exact_ms = (time.perf_counter() - start) * 1e3
+        oracle_ledger.end_frame()
+        start = time.perf_counter()
+        gated = model.step(frame)
+        gated_ms = (time.perf_counter() - start) * 1e3
+        yield t, exact, exact_ms, gated, gated_ms
 
 
 def run_pair(model_cfg: ModelConfig, stream_cfg: StreamConfig,
@@ -88,8 +100,9 @@ def run_pair(model_cfg: ModelConfig, stream_cfg: StreamConfig,
     """Run the exact oracle and the gated model over one stream.
 
     ``schedule`` holds per-frame budget overrides; a short schedule keeps
-    its last value for the remaining frames.  Precomputed ``frames``
-    override the stream config's generator (fixture import).
+    its last value for the remaining frames.  A schedule needs a ``top_r``
+    policy: under a threshold policy it raises ValueError.  Precomputed
+    ``frames`` override the stream config's generator (fixture import).
     """
     if frames is None:
         frames = gen_stream(stream_cfg)
@@ -100,19 +113,12 @@ def run_pair(model_cfg: ModelConfig, stream_cfg: StreamConfig,
     baseline_ledger = CostLedger()
 
     report = RunReport()
-    for t, frame in enumerate(frames):
-        if schedule:
-            model.set_budget(schedule[min(t, len(schedule) - 1)])
-        baseline_ledger.begin_frame(flush=(t == 0))
-        exact_tokens, exact_scores = model.baseline_frame(frame, baseline_ledger)
-        baseline_ledger.end_frame()
-        start = time.perf_counter()
-        tokens, scores = model.step(frame)
-        wall_ms = (time.perf_counter() - start) * 1e3
+    paired = _paired_steps(model, frames, schedule, baseline_ledger)
+    for t, (exact_tokens, exact_scores), _, (tokens, scores), wall_ms in paired:
         snap = ledger.frames[-1]
-        row = {
+        report.rows.append({
             "frame": t,
-            "r_effective": _effective_r(model.policy, schedule, t),
+            "r_effective": model.policy.r if model.policy.kind == "top_r" else -1,
             **model.selected_counts(),
             "macs_total": snap["macs_total"],
             "macs_qk": snap["macs_qk"],
@@ -123,8 +129,7 @@ def run_pair(model_cfg: ModelConfig, stream_cfg: StreamConfig,
             "cosine": cosine_similarity(tokens, exact_tokens),
             "argmax_match": int(np.argmax(scores) == np.argmax(exact_scores)),
             "wall_ms": wall_ms,
-        }
-        report.rows.append(row)
+        })
 
     steady = [row for row, snap in zip(report.rows, ledger.frames)
               if not snap["flush"]]
@@ -161,41 +166,26 @@ def sweep_budget(model_cfg: ModelConfig, stream_cfg: StreamConfig,
 
 def measure_walltime(model_cfg: ModelConfig, stream_cfg: StreamConfig,
                      repetitions: int = 5) -> dict:
-    """Median per-frame milliseconds for the exact and gated variants.
+    """Median per-frame ms of "baseline" (the exact oracle) and the unpooled
+    "full" and "tokenwise_only" variants at the configured budget.
 
-    The flush frame is excluded as warm-up.  Variants: "baseline" (exact
-    stateless), "full", and "tokenwise_only" at the configured budget.
+    Each repetition runs one paired pass per gated variant, in alternating
+    order, so oracle and gated step are timed side by side on every frame.
+    The flush frame is excluded as warm-up.
     """
     if repetitions < 3:
         raise ValueError("need at least 3 repetitions")
     frames = gen_stream(stream_cfg)
-    result = {}
-
-    times = []
-    probe = Model(model_cfg)
-    for _ in range(repetitions):
-        for t, frame in enumerate(frames):
-            start = time.perf_counter()
-            probe.baseline_frame(frame)
-            elapsed = (time.perf_counter() - start) * 1e3
-            if t > 0:
-                times.append(elapsed)
-    result["baseline"] = float(np.median(times))
-
-    for mode in ("full", "tokenwise_only"):
-        times = []
-        for _ in range(repetitions):
-            cfg = replace(model_cfg, mode=mode, pool_p=1,
-                          policy=replace(model_cfg.policy))
-            model = Model(cfg)
-            for t, frame in enumerate(frames):
-                start = time.perf_counter()
-                model.step(frame)
-                elapsed = (time.perf_counter() - start) * 1e3
+    variants = ["full", "tokenwise_only"]
+    times = {variant: [] for variant in ["baseline", *variants]}
+    for rep in range(repetitions):
+        for mode in variants if rep % 2 == 0 else variants[::-1]:
+            model = Model(replace(model_cfg, mode=mode, pool_p=1))
+            for t, _, exact_ms, _, gated_ms in _paired_steps(model, frames):
                 if t > 0:
-                    times.append(elapsed)
-        result[mode] = float(np.median(times))
-    return result
+                    times["baseline"].append(exact_ms)
+                    times[mode].append(gated_ms)
+    return {variant: float(np.median(ms)) for variant, ms in times.items()}
 
 
 def write_run_csv(report: RunReport, path) -> None:

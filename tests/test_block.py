@@ -113,7 +113,7 @@ class TestGatedBlock:
         stream = self._stream(10, frames=3)
         block.step(stream[0])
         block.step(stream[1])
-        block.set_budget(16)
+        block.policy.set_budget(16)
         block.step(stream[2])
         assert block.selected_counts() == {
             "selected_qkv": 16, "selected_p": 16, "selected_mlp": 16}
@@ -123,7 +123,7 @@ class TestGatedBlock:
         block = GatedBlock(w, 16, Policy("top_r", r=4))
         stream = self._stream(12, frames=4)
         out1 = block.step(stream[0])
-        block.set_budget(0)
+        block.policy.set_budget(0)
         out2 = block.step(stream[1])
         out3 = block.step(stream[2])
         assert block.selected_counts()["selected_qkv"] == 0
@@ -138,7 +138,7 @@ class TestGatedBlock:
         stream = self._stream(14, frames=3)
         counts = []
         for frame, r in zip(stream, [n, n // 4, n]):
-            block.set_budget(r)
+            block.policy.set_budget(r)
             block.step(frame)
             counts.append(block.selected_counts()["selected_qkv"])
         assert counts == [n, n // 4, n]
@@ -155,7 +155,7 @@ class TestGatedBlock:
         w = make_weights(17)
         block = GatedBlock(w, 16, Policy("top_r", r=4))
         with pytest.raises(ValueError):
-            block.set_budget(-1)
+            block.policy.set_budget(-1)
 
     def test_spatial_pool_full_budget_matches_pooled_oracle(self):
         w = make_weights(18)

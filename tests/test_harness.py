@@ -84,6 +84,12 @@ class TestRunPair:
         report = run_pair(cfg, small_stream())
         assert report.column("r_effective") == [-1] * 6
 
+    def test_schedule_under_threshold_policy_rejected(self):
+        cfg = ModelConfig(blocks=1, n=16, d=8, heads=2, seed=52,
+                          policy=Policy("threshold", h=0.3))
+        with pytest.raises(ValueError):
+            run_pair(cfg, small_stream(), schedule=[2])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             run_pair(small_model(), StreamConfig(n=8, d=8, frames=2))
@@ -141,6 +147,21 @@ class TestWalltime:
     def test_minimum_repetitions(self):
         with pytest.raises(ValueError):
             measure_walltime(small_model(), small_stream(), repetitions=2)
+
+    def test_oracle_matches_the_unpooled_variants(self, monkeypatch):
+        from tokengate import block
+
+        baseline, pools = block.block_baseline, []
+
+        def recording(x, w, pool_p=1, ledger=None):
+            pools.append(pool_p)
+            return baseline(x, w, pool_p, ledger)
+
+        monkeypatch.setattr(block, "block_baseline", recording)
+        cfg = ModelConfig(blocks=1, n=16, d=8, heads=2, mode="spatial_pool",
+                          pool_p=2, policy=Policy("top_r", r=4))
+        measure_walltime(cfg, small_stream(frames=2), repetitions=3)
+        assert pools and set(pools) == {1}
 
     def _timing_config(self, r=16):
         # heavy enough per frame that scheduler jitter is a small fraction
