@@ -55,7 +55,9 @@ av = attn @ u_v                               # frame 1: full product
 
 attn = softmax_rows(b / np.sqrt(dh))          # frame 2's attention
 v_idx, u_v, v_changes = v_gate(rng.normal((n, dh)))
-av_delta_update(av, attn, a_gate, v_idx, v_changes, u_v[v_idx], ledger)
+# the update reads frame 2's attention only at the value gate's columns
+av_delta_update(av, attn[:, v_idx], a_gate, v_idx, v_changes, u_v[v_idx],
+                ledger)
 
 print("attention-value update")
 print(f"  deviation from reference product: "

@@ -1,6 +1,6 @@
 """Multi-headed self-attention: exact, incrementally updated, and pooled.
 
-The incremental path maintains three persistent pieces per head across a
+The incremental path maintains four persistent pieces per head across a
 token stream:
 
   * ``B`` — the raw query-key similarity matrix.  When only ``m`` tokens
@@ -8,15 +8,26 @@ token stream:
     buffer and scattered in, then the columns at those indices are
     recomputed against the full query buffer and scattered in.  Everything
     else is still valid.
+  * per-row softmax normalizers: an offset at or above every scaled score
+    of the row, and the sum of the row's exponentials taken against it, so
+    that A = exp(B / sqrt(d_head) - offset) / sum.  Rows whose query changed
+    are recomputed; every other row has its sum patched at the changed key
+    columns, subtracting the old exponentials and adding the new ones, and
+    rescaled online when a new score rises above its offset.  A row whose
+    sum cancellation leaves at or below ``RESYNC_FRACTION`` of its value
+    before the patch is recomputed from ``B``.
   * an attention-side delta gate whose tokens are the *columns* of the
     row-softmaxed matrix, forced to select the same indices as the value
-    gate so the delta products stay aligned.
+    gate so the delta products stay aligned.  Only those columns of A are
+    ever exponentiated on the patched path.
   * ``av`` — the cached attention-weighted value sum, advanced by the
     identity  new = old + A_now dV + dA (V_now - dV)  with every factor cut
     down to the selected columns/rows.
 
-The scale 1 / sqrt(d_head) is applied when the softmax is taken, so ``B``
-always stores raw products.
+When patching would evaluate at least as many exponentials as the whole
+matrix has elements, the full softmax is taken instead, which also
+refreshes the normalizers.  The scale 1 / sqrt(d_head) is applied when the
+softmax is taken, so ``B`` always stores raw products.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostLedger, NullLedger
+from .costs import CostLedger, NullLedger, patched_softmax_exps
 from .gates import Buffer, DeltaGate, Policy
 from .kernels import (
     IndexSet,
@@ -94,7 +105,8 @@ def _attend_heads(q, k, v, heads, ledger):
     out = np.empty((heads, qh.shape[1], dh))
     for h in range(heads):
         scores = ledger.matmul("qk", qh[h], kh[h].T)
-        attn = softmax_rows(scores / np.sqrt(dh))
+        scores /= np.sqrt(dh)
+        attn = softmax_rows(scores)
         ledger.count_nonlinear(attn.size)
         out[h] = ledger.matmul("av", attn, vh[h])
     return out
@@ -126,7 +138,8 @@ def qk_sparse_update(b_matrix: TokenMatrix, q_buf: TokenMatrix, k_buf: TokenMatr
     passed as ``q_new``/``k_new``.  Rows are recomputed against all keys,
     then columns against all queries; the overlap block is computed twice,
     which keeps the update at two plain dense products.  Without pooling
-    ``rows`` and ``cols`` are the same index set.
+    ``rows`` and ``cols`` are the same index set.  Returns the column
+    product (queries x cols), the values B now holds at ``cols``.
     """
     ledger = ledger or NullLedger()
     if b_matrix.shape != (q_buf.shape[0], k_buf.shape[0]):
@@ -134,7 +147,9 @@ def qk_sparse_update(b_matrix: TokenMatrix, q_buf: TokenMatrix, k_buf: TokenMatr
     rows = as_index_set(rows, b_matrix.shape[0])
     cols = as_index_set(cols, b_matrix.shape[1])
     b_matrix[rows, :] = ledger.matmul("qk", q_new, k_buf.T)
-    b_matrix[:, cols] = ledger.matmul("qk", q_buf, k_new.T)
+    new_cols = ledger.matmul("qk", q_buf, k_new.T)
+    b_matrix[:, cols] = new_cols
+    return new_cols
 
 
 def av_delta_update(av: TokenMatrix, attn_now: TokenMatrix, a_gate: DeltaGate,
@@ -142,24 +157,23 @@ def av_delta_update(av: TokenMatrix, attn_now: TokenMatrix, a_gate: DeltaGate,
                     ledger: CostLedger | None = None) -> None:
     """Advance the cached attention-value product by the aligned delta identity.
 
-    ``attn_now`` is the current full row-softmaxed matrix; ``idx`` is the
-    value gate's selection, which the attention-side gate is forced to
-    reuse; ``v_delta``/``v_now`` are the gathered value changes and updated
-    values at idx.  After the call ``av`` equals (gate reference A) @ (gate
-    reference V) up to float rounding, whatever was selected.  The gathered
-    attention changes are counted by ``a_gate`` into its own ledger.
+    ``idx`` is the value gate's selection, which the attention-side gate is
+    forced to reuse; ``attn_now`` holds the current row-softmaxed attention
+    at those columns only (queries x |idx|); ``v_delta``/``v_now`` are the
+    gathered value changes and updated values at idx.  After the call ``av``
+    equals (gate reference A) @ (gate reference V) up to float rounding,
+    whatever was selected.  The attention changes are counted by ``a_gate``
+    into its own ledger.
     """
     ledger = ledger or NullLedger()
     if not a_gate.initialized:
         raise ValueError("attention-side gate must be flushed before delta updates")
-    idx = as_index_set(idx, attn_now.shape[1])
-    u_a, a_changes = a_gate.forced(attn_now.T, idx)
+    idx = as_index_set(idx, a_gate.n)
+    a_changes = a_gate.forced(attn_now.T, idx)
     if idx.size == 0:
         return
-    a_now_cols = u_a[idx].T           # queries x selected, refreshed columns
-    a_delta_cols = a_changes.T
-    term = ledger.matmul("av", a_now_cols, v_delta)
-    term += ledger.matmul("av", a_delta_cols, v_now - v_delta)
+    term = ledger.matmul("av", attn_now, v_delta)
+    term += ledger.matmul("av", a_changes.T, v_now - v_delta)
     av += term
     ledger.count_adds(v_delta.size)   # v_now - v_delta
     ledger.count_adds(2 * av.size)    # summing the terms, accumulating into av
@@ -209,14 +223,28 @@ def pool_index_set(idx: IndexSet, grid: int, pool: int) -> IndexSet:
     return np.unique(pooled)
 
 
+def _complement(idx: IndexSet, n: int) -> IndexSet:
+    keep = np.ones(n, dtype=bool)
+    keep[idx] = False
+    return np.flatnonzero(keep)
+
+
+# A patched row sum that cancellation leaves at or below this fraction of
+# its value before the patch is recomputed from B: a patch adds rounding of
+# about eps times the old sum, so the kept part is accurate to eps over it.
+RESYNC_FRACTION = 0.25
+
+
 class AttentionState:
     """Persistent attention machinery for one token stream.
 
     Owns the query/key/value buffers.  In "full" mode the per-head
-    similarity matrices, attention-side gates, value gate, and cached
-    products are maintained incrementally; in "tokenwise_only" mode both
-    products are recomputed from the buffers each step.  A pool factor
-    above 1 shrinks the key/value axis on the grid before any of this.
+    similarity matrices, softmax row normalizers, attention-side gates,
+    value gate, and cached products are maintained incrementally;
+    ``resynced`` counts the rows whose patched sum was recomputed on the
+    last step.  In "tokenwise_only" mode both products are recomputed from
+    the buffers each step.  A pool factor above 1 shrinks the key/value
+    axis on the grid before any of this.
     """
 
     def __init__(self, n: int, d: int, heads: int, policy: Policy,
@@ -238,11 +266,14 @@ class AttentionState:
         self.v_buf = Buffer(n, d)
         if mode == "full":
             self.b = np.zeros((heads, n, self.n_kv))
+            self.row_offset = np.zeros((heads, n))
+            self.row_sum = np.zeros((heads, n))
             self.av = np.zeros((heads, n, self.dh))
             self.a_gates = [DeltaGate(self.n_kv, n, policy, self.ledger)
                             for _ in range(heads)]
             self.v_gate = DeltaGate(self.n_kv, d, policy, self.ledger)
         self.flushed = False
+        self.resynced = 0
 
     def step(self, idx: IndexSet, q_new: TokenMatrix, k_new: TokenMatrix,
              v_new: TokenMatrix) -> TokenMatrix:
@@ -263,8 +294,7 @@ class AttentionState:
         vh = head_split(u_v, self.heads)
         for h in range(self.heads):
             self.b[h] = self.ledger.matmul("qk", qh[h], kh[h].T)
-            attn = softmax_rows(self.b[h] / np.sqrt(self.dh))
-            self.ledger.count_nonlinear(attn.size)
+            attn = self._full_softmax(h)
             self.a_gates[h].forced(attn.T, full_index_set(self.n_kv))
             self.av[h] = self.ledger.matmul("av", attn, vh[h])
         self.flushed = True
@@ -277,11 +307,70 @@ class AttentionState:
         v_idx, u_v, v_changes = self.v_gate(v_kv)
         vh_now = head_split(u_v[v_idx], self.heads)
         vh_delta = head_split(v_changes, self.heads)
+        others = _complement(rows, self.n)
+        patch = (patched_softmax_exps(self.n, self.n_kv, rows.size, cols.size,
+                                      v_idx.size) < self.n * self.n_kv)
+        self.resynced = 0
         for h in range(self.heads):
-            qk_sparse_update(self.b[h], qh[h], kh[h], qh_new[h], kh_new[h],
-                             rows, cols, self.ledger)
-            attn = softmax_rows(self.b[h] / np.sqrt(self.dh))
-            self.ledger.count_nonlinear(attn.size)
-            av_delta_update(self.av[h], attn, self.a_gates[h], v_idx,
+            old = self.b[h][np.ix_(others, cols)] if patch else None
+            new_cols = qk_sparse_update(self.b[h], qh[h], kh[h], qh_new[h],
+                                        kh_new[h], rows, cols, self.ledger)
+            if patch:
+                attn_v = self._patched_softmax(h, rows, others, old,
+                                               new_cols[others], v_idx)
+            else:
+                attn_v = self._full_softmax(h)[:, v_idx]
+            av_delta_update(self.av[h], attn_v, self.a_gates[h], v_idx,
                             vh_delta[h], vh_now[h], self.ledger)
         return head_merge(self.av)
+
+    def _full_softmax(self, h):
+        """Softmax of every row of head h: all its rows recomputed, in the
+        operations and order of ``softmax_rows``."""
+        attn = self._recompute_rows(h, slice(None))
+        attn /= self.row_sum[h][:, None]
+        return attn
+
+    def _patched_softmax(self, h, rows, others, old, new, v_idx):
+        """Bring head h's normalizers up to date after B changed at query
+        rows ``rows`` and at the key columns where the other rows held
+        ``old`` and now hold ``new``; return the attention at columns v_idx.
+        """
+        scale = np.sqrt(self.dh)
+        offset, total = self.row_offset[h], self.row_sum[h]
+        self._recompute_rows(h, rows)
+        if old.shape[1]:
+            prev_offset, prev_total = offset[others], total[others]
+            old /= scale
+            old -= prev_offset[:, None]
+            kept = prev_total - self._exp(old).sum(axis=1)
+            new /= scale
+            new_offset = np.maximum(prev_offset, new.max(axis=1))
+            new -= new_offset[:, None]
+            total[others] = (kept * self._exp(prev_offset - new_offset)
+                             + self._exp(new).sum(axis=1))
+            offset[others] = new_offset
+            stale = others[~(kept > RESYNC_FRACTION * prev_total)]
+            self.resynced += stale.size
+            self._recompute_rows(h, stale)
+        attn_v = self.b[h][:, v_idx]
+        attn_v /= scale
+        attn_v -= offset[:, None]
+        self._exp(attn_v)
+        attn_v /= total[:, None]
+        return attn_v
+
+    def _recompute_rows(self, h, rows):
+        """Normalizers of head h's rows from B, N_kv exponentials a row;
+        returns the rows' exponentials against their new offsets."""
+        x = self.b[h][rows] / np.sqrt(self.dh)
+        offset = x.max(axis=1)
+        x -= offset[:, None]
+        self.row_offset[h, rows] = offset
+        self.row_sum[h, rows] = self._exp(x).sum(axis=1)
+        return x
+
+    def _exp(self, x):
+        """Exponentiate a temporary in place, counting every element."""
+        self.ledger.count_nonlinear(x.size)
+        return np.exp(x, out=x)

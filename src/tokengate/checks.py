@@ -8,14 +8,19 @@ tests call them at larger instance counts.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .attention import av_delta_update, qk_sparse_update
-from .block import ModelConfig
+from .attention import AttentionState, av_delta_update, qk_sparse_update
+from .block import Model, ModelConfig
 from .gates import DeltaGate, Policy, threshold_indices, top_r_indices
-from .harness import run_pair
+from .harness import relative_l2, run_pair
 from .rng import SplitRng
-from .streams import StreamConfig
+from .streams import StreamConfig, gen_stream
+
+NORMALIZER_TOL = 1e-9    # relative, kept row sum against the sum from B
+FULL_BUDGET_TOL = 1e-5   # relative L2, a frame where every gate takes all tokens
 
 
 def check_full_budget_exactness(seed: int = 0) -> tuple[str, bool, str]:
@@ -29,7 +34,7 @@ def check_full_budget_exactness(seed: int = 0) -> tuple[str, bool, str]:
 
 def _exact_run(name, cfg, stream) -> tuple[str, bool, str]:
     worst = max(run_pair(cfg, stream).column("rel_l2_error"))
-    return (name, worst < 1e-5, f"worst rel err {worst:.2e}")
+    return (name, worst < FULL_BUDGET_TOL, f"worst rel err {worst:.2e}")
 
 
 def qk_instances(count: int, seed: int):
@@ -82,7 +87,8 @@ def check_av_invariant(instances: int = 80, seed: int = 1) -> tuple[str, bool, s
             policy.r = int(rng.integers(1, n + 2)[0])
             attn = random_attention(rng, n)
             v_idx, u_v, v_delta = v_gate(rng.normal((n, dh)))
-            av_delta_update(av, attn, a_gate, v_idx, v_delta, u_v[v_idx])
+            av_delta_update(av, attn[:, v_idx], a_gate, v_idx, v_delta,
+                            u_v[v_idx])
             worst = max(worst, float(np.abs(av - a_gate.u.T @ u_v).max()))
     return ("av_delta_update_invariant", worst < 1e-6, f"worst abs dev {worst:.2e}")
 
@@ -106,6 +112,66 @@ def check_policies(vectors: int = 200, seed: int = 2) -> tuple[str, bool, str]:
     return ("policy_oracle_agreement", bool(ok), f"{vectors} random vectors")
 
 
+def normalizer_deviation(attn: AttentionState) -> float:
+    """Worst relative gap, over heads and rows, between the softmax row sum
+    an incremental attention state keeps and the sum recomputed from B
+    against the row's offset; infinite if an offset lies below a score."""
+    shifted = attn.b / np.sqrt(attn.dh) - attn.row_offset[:, :, None]
+    if (shifted > 0).any():
+        return math.inf
+    exact = np.exp(shifted).sum(axis=2)
+    return float(np.max(np.abs(attn.row_sum - exact) / exact))
+
+
+def normalizer_run(model_cfg: ModelConfig, frames: np.ndarray,
+                   schedule) -> tuple[float, float]:
+    """Step a model through frames at budgets ``schedule``, one per frame;
+    returns the worst normalizer deviation after any frame and the worst
+    relative error of a full-budget frame against the oracle."""
+    model = Model(model_cfg)
+    worst = worst_full = 0.0
+    for frame, r in zip(frames, schedule):
+        model.set_budget(int(r))
+        tokens, _ = model.step(frame)
+        for blk in model.blocks:
+            worst = max(worst, normalizer_deviation(blk.attn))
+        if r >= model_cfg.n:
+            exact, _ = model.baseline_frame(frame)
+            worst_full = max(worst_full, relative_l2(tokens, exact))
+    return worst, worst_full
+
+
+def random_schedule(rng: SplitRng, n: int, frames: int) -> np.ndarray:
+    """Per-frame budgets: a quarter r = N, an eighth r = 0, the rest small
+    (1 to N/4), where the patched softmax is the cheaper path."""
+    kind = rng.integers(frames, 8)
+    small = 1 + rng.integers(frames, max(1, n // 4))
+    return np.where(kind < 2, n, np.where(kind == 2, 0, small))
+
+
+def check_softmax_normalizers(streams: int = 6,
+                              seed: int = 4) -> tuple[str, bool, str]:
+    """Row normalizers of full and spatial_pool models (pool 2 and 4) after
+    every frame of a random budget schedule; full-budget frames must also
+    match the oracle."""
+    rng = SplitRng(seed)
+    worst = worst_full = 0.0
+    for i in range(streams):
+        pool = (1, 2, 4)[i % 3]
+        n = 16 if pool == 1 else 64
+        cfg = ModelConfig(blocks=2, n=n, d=8, heads=2, seed=seed + i,
+                          mode="full" if pool == 1 else "spatial_pool",
+                          pool_p=pool, policy=Policy("top_r", r=n))
+        stream = StreamConfig(n=n, d=8, frames=24, mode="sparse_change",
+                              rho=0.25, sigma=1.0, seed=seed + i)
+        dev, err = normalizer_run(cfg, gen_stream(stream),
+                                  random_schedule(rng, n, stream.frames))
+        worst, worst_full = max(worst, dev), max(worst_full, err)
+    passed = worst <= NORMALIZER_TOL and worst_full < FULL_BUDGET_TOL
+    return ("softmax_normalizers", passed,
+            f"worst row-sum rel dev {worst:.2e}, full-budget rel err {worst_full:.2e}")
+
+
 def check_static_stability(seed: int = 3) -> tuple[str, bool, str]:
     cfg = ModelConfig(blocks=2, n=16, d=8, heads=2, seed=seed,
                       policy=Policy("top_r", r=2))
@@ -118,6 +184,7 @@ ALL_CHECKS = (
     check_qk_invariant,
     check_av_invariant,
     check_policies,
+    check_softmax_normalizers,
     check_static_stability,
 )
 

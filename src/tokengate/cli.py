@@ -64,7 +64,8 @@ def _reject_unknown_keys(doc):
 
 
 def load_config(path) -> tuple[ModelConfig, StreamConfig, list[int] | None]:
-    """Parse a config document; unknown keys raise ValueError."""
+    """Parse a config document; unknown keys, and a schedule under a policy
+    without a budget, raise ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
     _reject_unknown_keys(doc)
@@ -74,6 +75,9 @@ def load_config(path) -> tuple[ModelConfig, StreamConfig, list[int] | None]:
     policy = Policy(kind=policy_doc.get("kind", "top_r"),
                     r=policy_doc.get("r", 0),
                     h=policy_doc.get("h", 0.0))
+    if doc.get("schedule") and policy.kind != "top_r":
+        raise ValueError(f"a schedule sets budgets, which a {policy.kind} "
+                         f"policy does not have")
     model_cfg = ModelConfig(
         blocks=model.get("blocks", 2),
         n=model.get("N", 16), d=model.get("D", 8), heads=model.get("H", 2),

@@ -9,9 +9,11 @@ costs m*k*n MACs.  Counted MAC categories:
   gate_overhead  squared-norm evaluation inside selection policies
 
 Gate error subtractions and the extra additions of the incremental
-attention-value update are tracked separately as plain adds.  Softmax,
-layer norm, and GELU are excluded from MAC totals; the number of elements
-they touch is kept as a diagnostic only.
+attention-value update are tracked separately as plain adds.  Nonlinear
+work is counted apart from the MACs as ``nonlinear_elems``: the elements
+through layer norm and GELU, plus the exponentials the softmax evaluates
+(every score of a full softmax; on the patched path of "full" mode only
+the recomputed rows, the changed columns and the value gate's columns).
 
 Flush frames (where every state tensor is initialized from a full
 computation) are flagged in the per-frame snapshots so steady-state
@@ -118,6 +120,7 @@ class BlockCost:
     macs_av: int
     macs_gate_overhead: int = 0
     adds_overhead: int = 0
+    nonlinear_elems: int = 0
 
     @property
     def macs_total(self) -> int:
@@ -132,7 +135,27 @@ class BlockCost:
             "macs_gate_overhead": self.macs_gate_overhead,
             "macs_total": self.macs_total,
             "adds_overhead": self.adds_overhead,
+            "nonlinear_elems": self.nonlinear_elems,
         }
+
+
+def _norm_and_gelu_elems(n: int, m: int, d: int, mlp_ratio: int) -> int:
+    """Two layer norms over all n tokens, GELU over the m MLP rows."""
+    return 2 * n * d + m * mlp_ratio * d
+
+
+def patched_softmax_exps(n: int, n_kv: int, rows: int, cols: int,
+                         values: int) -> int:
+    """Exponentials one head's patched softmax evaluates, resyncs aside.
+
+    ``rows`` changed queries are recomputed against all n_kv keys; when
+    ``cols`` key columns changed, each of the other rows pays its old and
+    new scores there plus one rescale factor; and every row pays the
+    ``values`` columns the value gate picked, the attention the value
+    update reads.  Each resynced row adds n_kv more.
+    """
+    patched = (n - rows) * (2 * cols + 1) if cols else 0
+    return rows * n_kv + patched + n * values
 
 
 def count_block_baseline(n: int, d: int, h: int, mlp_ratio: int = 4) -> BlockCost:
@@ -144,6 +167,7 @@ def count_block_baseline(n: int, d: int, h: int, mlp_ratio: int = 4) -> BlockCos
         macs_token_wise=token_wise,
         macs_qk=n * n * d,
         macs_av=n * n * d,
+        nonlinear_elems=_norm_and_gelu_elems(n, n, d, mlp_ratio) + h * n * n,
     )
 
 
@@ -153,7 +177,10 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
 
     In "full" mode the similarity matrix is patched by row/column scatter
     (2NMD) and the attention-value product by the aligned delta identity
-    (2NMD).  In "tokenwise_only" and "stgt" modes both products are
+    (2NMD), and each head's softmax is patched (``patched_softmax_exps``)
+    unless that costs at least the N*N exponentials of a full softmax; rows
+    resynced on the frame add N exponentials each, which no closed form
+    predicts.  In "tokenwise_only" and "stgt" modes both products are
     recomputed from the buffered tensors, so only token-wise work scales
     with m.  There is no closed form for "spatial_pool": the number of
     refreshed pooled columns depends on where the selected tokens sit on
@@ -172,11 +199,13 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
         adds += h * m * n                 # gathered changes of the forced gates
         if m > 0:                         # delta-product extra additions
             adds += 2 * n * d + m * d
+        exps = min(patched_softmax_exps(n, n, m, m, m), n * n)
     elif mode in ("tokenwise_only", "stgt"):
         qk = n * n * d
         av = n * n * d
         gate_norms = 3 * n * d            # qkv, projection, MLP gates
         adds = 3 * n * d
+        exps = n * n
     else:
         raise ValueError(f"no closed-form cost for mode {mode!r}")
     return BlockCost(
@@ -185,6 +214,7 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
         macs_av=av,
         macs_gate_overhead=gate_norms,
         adds_overhead=adds,
+        nonlinear_elems=_norm_and_gelu_elems(n, m, d, mlp_ratio) + h * exps,
     )
 
 
@@ -194,12 +224,15 @@ def memory_report(n: int, d: int, h: int, bytes_per_element: int = 4) -> dict:
         raise ValueError("sizes must be positive")
     token = n * d * bytes_per_element
     attn = n * n * h * bytes_per_element
+    rows = n * h * bytes_per_element
     report = {
         "token_gate_reference": token,
         "query_buffer": token,
         "key_buffer": token,
         "value_buffer": token,
         "similarity_buffer": attn,
+        "softmax_row_offsets": rows,
+        "softmax_row_sums": rows,
         "attention_gate_reference": attn,
         "value_gate_reference": token,
         "attention_value_cache": token,

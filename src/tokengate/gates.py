@@ -111,15 +111,13 @@ class Gate:
     def initialized(self) -> bool:
         return self.u is not None
 
-    def _select(self, c: TokenMatrix,
-                idx: IndexSet | None = None) -> tuple[TokenMatrix, IndexSet, bool]:
+    def _select(self, c: TokenMatrix) -> tuple[TokenMatrix, IndexSet, bool]:
         """Validate c and pick the tokens to refresh; returns (c, idx, flush).
 
         The first call flushes: every token is selected and the reference
         becomes a copy of c.  Later calls take idx from the policy applied to
         the per-token distance between c and the reference, at one
-        subtraction and one squared-norm MAC per element, unless idx is given;
-        then only the gathered changes cost a subtraction each.
+        subtraction and one squared-norm MAC per element.
         """
         c = np.asarray(c, dtype=np.float64)
         if c.shape != (self.n, self.width):
@@ -129,13 +127,10 @@ class Gate:
         if flush:
             self.u = c.copy()
             idx = full_index_set(self.n)
-        elif idx is None:
+        else:
             idx = self.policy.select(row_l2_norms(c - self.u))
             self.ledger.count_adds(c.size)
             self.ledger.count_macs("gate_overhead", c.size)
-        else:
-            idx = as_index_set(idx, self.n)
-            self.ledger.count_adds(idx.size * self.width)
         self.last_idx = idx
         return c, idx, flush
 
@@ -163,23 +158,35 @@ class DeltaGate(Gate):
 
     def __call__(self, c: TokenMatrix) -> tuple[IndexSet, TokenMatrix, TokenMatrix]:
         c, idx, flush = self._select(c)
-        return (idx, *self._delta(c, idx, flush))
-
-    def forced(self, c: TokenMatrix, idx: IndexSet) -> tuple[TokenMatrix, TokenMatrix]:
-        """Skip the policy and update exactly the externally chosen indices.
-
-        A first call flushes (all tokens) regardless of idx, preserving the
-        flush-totality guarantee.
-        """
-        return self._delta(*self._select(c, idx))
-
-    def _delta(self, c, idx, flush):
         if flush:
-            return self.u, c.copy()
-        fresh = c[idx]
+            return idx, self.u, c.copy()
+        return idx, self.u, self._update(idx, c[idx])
+
+    def forced(self, rows: TokenMatrix, idx: IndexSet) -> TokenMatrix:
+        """Skip the policy and set exactly the externally chosen tokens idx
+        to ``rows``, their new values gathered (|idx| x width); returns the
+        changes, one subtraction per element.
+
+        The first call flushes, so it must cover every token.
+        """
+        idx = as_index_set(idx, self.n)
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape != (idx.size, self.width):
+            raise ValueError(f"expected rows of shape {(idx.size, self.width)}, "
+                             f"got {rows.shape}")
+        self.last_idx = idx
+        if self.u is None:
+            if idx.size != self.n:
+                raise ValueError("a first forced update must cover every token")
+            self.u = rows.copy()
+            return rows.copy()
+        self.ledger.count_adds(rows.size)
+        return self._update(idx, rows)
+
+    def _update(self, idx, fresh):
         changes = fresh - self.u[idx]
         self.u[idx] = fresh
-        return self.u, changes
+        return changes
 
 
 class StgtGate(Gate):

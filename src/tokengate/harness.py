@@ -167,9 +167,13 @@ def sweep_budget(model_cfg: ModelConfig, stream_cfg: StreamConfig,
 def measure_walltime(model_cfg: ModelConfig, stream_cfg: StreamConfig,
                      repetitions: int = 5) -> dict:
     """Median per-frame ms of "baseline" (the exact oracle) and the unpooled
-    "full" and "tokenwise_only" variants at the configured budget.
+    "full" and "tokenwise_only" variants at the configured budget, plus the
+    configured mode when it is neither.
 
-    Each repetition runs one paired pass per gated variant, in alternating
+    Each variant is paired with the oracle it matches: a "spatial_pool"
+    config keeps its pool factor and is paired with the pooled oracle,
+    reported as "baseline_pooled"; the other variants run unpooled.  Each
+    repetition runs one paired pass per gated variant, in alternating
     order, so oracle and gated step are timed side by side on every frame.
     The flush frame is excluded as warm-up.
     """
@@ -177,15 +181,22 @@ def measure_walltime(model_cfg: ModelConfig, stream_cfg: StreamConfig,
         raise ValueError("need at least 3 repetitions")
     frames = gen_stream(stream_cfg)
     variants = ["full", "tokenwise_only"]
-    times = {variant: [] for variant in ["baseline", *variants]}
+    if model_cfg.mode not in variants:
+        variants.append(model_cfg.mode)
+    oracles = ["baseline"]
+    if model_cfg.mode == "spatial_pool":
+        oracles.append("baseline_pooled")
+    times = {name: [] for name in oracles + variants}
     for rep in range(repetitions):
         for mode in variants if rep % 2 == 0 else variants[::-1]:
-            model = Model(replace(model_cfg, mode=mode, pool_p=1))
+            pool = model_cfg.pool_p if mode == "spatial_pool" else 1
+            model = Model(replace(model_cfg, mode=mode, pool_p=pool))
+            oracle = "baseline_pooled" if pool > 1 else "baseline"
             for t, _, exact_ms, _, gated_ms in _paired_steps(model, frames):
                 if t > 0:
-                    times["baseline"].append(exact_ms)
+                    times[oracle].append(exact_ms)
                     times[mode].append(gated_ms)
-    return {variant: float(np.median(ms)) for variant, ms in times.items()}
+    return {name: float(np.median(ms)) for name, ms in times.items()}
 
 
 def write_run_csv(report: RunReport, path) -> None:

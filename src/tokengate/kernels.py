@@ -33,13 +33,18 @@ def full_index_set(n: int) -> IndexSet:
 
 
 def softmax_rows(x: TokenMatrix) -> TokenMatrix:
-    """Row-wise softmax, stabilized by subtracting each row's max."""
+    """Row-wise softmax, stabilized by subtracting each row's max.
+
+    The shifted copy is the only temporary: it is exponentiated and
+    normalized in place.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         return x.copy()
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def layer_norm(x: TokenMatrix, gamma, beta, eps: float = 1e-5) -> TokenMatrix:

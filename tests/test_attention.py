@@ -204,13 +204,13 @@ class TestAvDeltaUpdate:
         attn_now = np.array([[0.6, 0.0], [0.4, 1.0]])
         idx, u_v, v_changes = v_gate(np.array([[5.0, 6.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(idx, [0])
-        av_delta_update(av, attn_now, a_gate, idx, v_changes, u_v[idx])
+        av_delta_update(av, attn_now[:, idx], a_gate, idx, v_changes, u_v[idx])
         np.testing.assert_allclose(av, [[3.0, 3.6], [5.0, 6.4]], atol=1e-12)
 
     def test_unflushed_gate_rejected(self):
         cold = DeltaGate(3, 3, Policy("top_r", r=1))
         with pytest.raises(ValueError):
-            av_delta_update(np.zeros((3, 2)), np.eye(3), cold,
+            av_delta_update(np.zeros((3, 2)), np.eye(3)[:, :1], cold,
                             np.array([0]), np.zeros((1, 2)), np.zeros((1, 2)))
 
     def test_empty_selection_unchanged(self):
@@ -221,7 +221,7 @@ class TestAvDeltaUpdate:
         v = rng.normal((3, 2))
         av = attn @ v
         before = av.copy()
-        av_delta_update(av, attn, a_gate, np.empty(0, int),
+        av_delta_update(av, attn[:, :0], a_gate, np.empty(0, int),
                         np.empty((0, 2)), np.empty((0, 2)))
         np.testing.assert_array_equal(av, before)
 
@@ -237,7 +237,7 @@ class TestAvDeltaUpdate:
         av = attn0 @ u_v
         attn1 = random_attention(rng, n)
         idx, u_v, v_changes = v_gate(rng.normal((n, dh)))
-        av_delta_update(av, attn1, a_gate, idx, v_changes, u_v[idx])
+        av_delta_update(av, attn1[:, idx], a_gate, idx, v_changes, u_v[idx])
         np.testing.assert_allclose(av, attn1 @ u_v, atol=1e-10)
 
 

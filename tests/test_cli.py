@@ -64,6 +64,16 @@ def test_run_with_schedule(config_path, tmp_path):
     assert [row["r_effective"] for row in rows] == ["16", "2", "2", "2", "2"]
 
 
+def test_schedule_under_threshold_policy_rejected_before_any_output(tmp_path):
+    doc = dict(CONFIG, policy={"kind": "threshold", "h": 0.3}, schedule=[2])
+    path = tmp_path / "threshold.json"
+    path.write_text(json.dumps(doc))
+    archive = tmp_path / "stream.zip"
+    with pytest.raises(ValueError, match="schedule"):
+        main(["run", "--config", str(path), "--save-stream", str(archive)])
+    assert not archive.exists()
+
+
 def test_run_stream_round_trip(config_path, tmp_path):
     archive = str(tmp_path / "stream.zip")
     out_a = str(tmp_path / "a.json")

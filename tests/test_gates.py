@@ -155,17 +155,26 @@ class TestDeltaGate:
         c0 = np.zeros((3, 2))
         gate(c0)
         c1 = np.arange(6.0).reshape(3, 2)
-        u, changes = gate.forced(c1, np.arange(3))
-        np.testing.assert_array_equal(u, c1)
+        changes = gate.forced(c1, np.arange(3))
+        np.testing.assert_array_equal(gate.u, c1)
         np.testing.assert_array_equal(changes, c1 - c0)
 
     def test_forced_empty(self):
         gate = DeltaGate(3, 2, Policy("top_r", r=1))
         c0 = np.ones((3, 2))
         gate(c0)
-        u, changes = gate.forced(np.zeros((3, 2)), np.empty(0, int))
-        np.testing.assert_array_equal(u, c0)
+        changes = gate.forced(np.zeros((0, 2)), np.empty(0, int))
+        np.testing.assert_array_equal(gate.u, c0)
         assert changes.shape == (0, 2)
+
+    def test_forced_takes_gathered_rows_and_a_first_call_covers_all(self):
+        gate = DeltaGate(3, 2, Policy("top_r", r=1))
+        with pytest.raises(ValueError):
+            gate.forced(np.ones((1, 2)), np.array([1]))
+        with pytest.raises(ValueError):
+            gate.forced(np.ones((3, 2)), np.array([1]))
+        np.testing.assert_array_equal(gate.forced(np.ones((3, 2)), np.arange(3)),
+                                      np.ones((3, 2)))
 
     def test_forced_matches_forward_on_same_indices(self):
         u0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -175,8 +184,8 @@ class TestDeltaGate:
         idx, u_free, ch_free = free(c)
         forced = DeltaGate(4, 2, Policy("top_r", r=2))
         forced(u0)
-        u_forced, ch_forced = forced.forced(c, idx)
-        np.testing.assert_array_equal(u_free, u_forced)
+        ch_forced = forced.forced(c[idx], idx)
+        np.testing.assert_array_equal(u_free, forced.u)
         np.testing.assert_array_equal(ch_free, ch_forced)
 
 

@@ -151,17 +151,30 @@ class TestWalltime:
     def test_oracle_matches_the_unpooled_variants(self, monkeypatch):
         from tokengate import block
 
-        baseline, pools = block.block_baseline, []
+        baseline, frame = block.block_baseline, block.Model.baseline_frame
+        caller, seen = [None], set()
+
+        def framing(model, *args, **kwargs):
+            caller[0] = model.cfg.mode
+            return frame(model, *args, **kwargs)
 
         def recording(x, w, pool_p=1, ledger=None):
-            pools.append(pool_p)
+            seen.add((caller[0], pool_p))
             return baseline(x, w, pool_p, ledger)
 
+        monkeypatch.setattr(block.Model, "baseline_frame", framing)
         monkeypatch.setattr(block, "block_baseline", recording)
         cfg = ModelConfig(blocks=1, n=16, d=8, heads=2, mode="spatial_pool",
                           pool_p=2, policy=Policy("top_r", r=4))
-        measure_walltime(cfg, small_stream(frames=2), repetitions=3)
-        assert pools and set(pools) == {1}
+        table = measure_walltime(cfg, small_stream(frames=2), repetitions=3)
+        assert set(table) == {"baseline", "baseline_pooled", "full",
+                              "tokenwise_only", "spatial_pool"}
+        assert seen == {("full", 1), ("tokenwise_only", 1), ("spatial_pool", 2)}
+
+    def test_configured_lossy_mode_is_timed(self):
+        cfg = small_model(mode="stgt")
+        table = measure_walltime(cfg, small_stream(frames=3), repetitions=3)
+        assert set(table) == {"baseline", "full", "tokenwise_only", "stgt"}
 
     def _timing_config(self, r=16):
         # heavy enough per frame that scheduler jitter is a small fraction
