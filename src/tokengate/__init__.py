@@ -32,8 +32,6 @@ from .block import (
     ModelWeights,
     block_baseline,
     init_model_weights,
-    weights_from_tensors,
-    weights_to_tensors,
 )
 from .costs import (
     BlockCost,
@@ -42,7 +40,6 @@ from .costs import (
     count_block_baseline,
     count_block_eventful,
     memory_report,
-    savings_ratio,
 )
 from .gates import (
     Buffer,
@@ -50,7 +47,6 @@ from .gates import (
     Gate,
     Policy,
     StgtGate,
-    THRESHOLD_PRESETS,
     threshold_indices,
     top_r_indices,
 )

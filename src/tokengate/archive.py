@@ -3,8 +3,8 @@
 Layout: ``manifest.json`` lists one entry per tensor with its name, shape,
 and payload member; each payload is the tensor's values as row-major
 little-endian 32-bit floats.  Any language with a zip reader and a JSON
-parser can produce or consume these files.  Used for weight import/export
-and for sharing stream fixtures across implementations.
+parser can produce or consume these files.  Used for sharing stream
+fixtures across implementations.
 """
 
 from __future__ import annotations

@@ -49,17 +49,18 @@ from .kernels import (
 
 @dataclass
 class AttentionWeights:
-    """Projection weights for one attention operator; d must split over heads."""
+    """Projection weights and biases for one attention operator; d must split
+    over heads."""
 
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
     wp: np.ndarray
     heads: int
-    bq: np.ndarray | None = None
-    bk: np.ndarray | None = None
-    bv: np.ndarray | None = None
-    bp: np.ndarray | None = None
+    bq: np.ndarray
+    bk: np.ndarray
+    bv: np.ndarray
+    bp: np.ndarray
 
     def __post_init__(self):
         d = self.wq.shape[0]
@@ -72,10 +73,6 @@ class AttentionWeights:
     @property
     def width(self) -> int:
         return self.wq.shape[0]
-
-    @property
-    def head_width(self) -> int:
-        return self.wq.shape[0] // self.heads
 
 
 def head_split(x: TokenMatrix, heads: int) -> np.ndarray:
@@ -93,10 +90,7 @@ def head_merge(per_head: np.ndarray) -> TokenMatrix:
 
 
 def _project(x, w, b, ledger):
-    out = ledger.matmul("token_wise", x, w)
-    if b is not None:
-        out = out + b
-    return out
+    return ledger.matmul("token_wise", x, w) + b
 
 
 def _attend_heads(q, k, v, heads, ledger):

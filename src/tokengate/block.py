@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attention import AttentionState, AttentionWeights, msa_baseline
+from .attention import AttentionState, AttentionWeights, _project, msa_baseline
 from .costs import CostLedger, NullLedger
 from .gates import Buffer, Gate, Policy, StgtGate
 from .kernels import TokenMatrix, gelu, layer_norm
@@ -52,9 +52,15 @@ class BlockWeights:
     def width(self) -> int:
         return self.attn.width
 
-    @property
-    def mlp_ratio(self) -> int:
-        return self.w1.shape[1] // self.w1.shape[0]
+
+def _check_mode(mode: str, pool_p: int):
+    """Reject an unknown mode, and a pool factor the mode would not apply."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "spatial_pool" and pool_p < 2:
+        raise ValueError("spatial_pool mode needs pool_p >= 2")
+    if mode != "spatial_pool" and pool_p != 1:
+        raise ValueError(f"{mode} mode does not pool; pool_p must be 1")
 
 
 @dataclass
@@ -73,12 +79,9 @@ class ModelConfig:
     num_classes: int = 10
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        _check_mode(self.mode, self.pool_p)
         if self.d % self.heads:
             raise ValueError("width must divide evenly across heads")
-        if self.mode == "spatial_pool" and self.pool_p < 2:
-            raise ValueError("spatial_pool mode needs pool_p >= 2")
 
 
 def _mlp_forward(tokens, w, ledger):
@@ -106,8 +109,7 @@ class GatedBlock:
     def __init__(self, weights: BlockWeights, n: int, policy: Policy,
                  mode: str = "full", pool_p: int = 1,
                  ledger: CostLedger | None = None):
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
+        _check_mode(mode, pool_p)
         d = weights.width
         self.w = weights
         self.n = n
@@ -122,8 +124,8 @@ class GatedBlock:
         self.mlp_buf = Buffer(n, d)
         attn_mode = "full" if mode in ("full", "spatial_pool") else "tokenwise_only"
         self.attn = AttentionState(
-            n, d, weights.attn.heads, policy, mode=attn_mode,
-            pool=pool_p if mode == "spatial_pool" else 1, ledger=self.ledger)
+            n, d, weights.attn.heads, policy, mode=attn_mode, pool=pool_p,
+            ledger=self.ledger)
 
     @property
     def flushed(self) -> bool:
@@ -138,21 +140,16 @@ class GatedBlock:
         }
 
     def step(self, x: TokenMatrix) -> TokenMatrix:
-        w, ledger = self.w, self.ledger
+        w, a, ledger = self.w, self.w.attn, self.ledger
         xn = layer_norm(x, w.ln1_gamma, w.ln1_beta)
         ledger.count_nonlinear(xn.size)
         idx, picked = self.gate_qkv(xn)
-        q_new = ledger.matmul("token_wise", picked, w.attn.wq)
-        k_new = ledger.matmul("token_wise", picked, w.attn.wk)
-        v_new = ledger.matmul("token_wise", picked, w.attn.wv)
-        if w.attn.bq is not None:
-            q_new, k_new, v_new = q_new + w.attn.bq, k_new + w.attn.bk, v_new + w.attn.bv
-        y_att = self.attn.step(idx, q_new, k_new, v_new)
+        y_att = self.attn.step(idx, _project(picked, a.wq, a.bq, ledger),
+                               _project(picked, a.wk, a.bk, ledger),
+                               _project(picked, a.wv, a.bv, ledger))
 
         idx_p, picked_p = self.gate_p(y_att)
-        proj = ledger.matmul("token_wise", picked_p, w.attn.wp)
-        if w.attn.bp is not None:
-            proj = proj + w.attn.bp
+        proj = _project(picked_p, a.wp, a.bp, ledger)
         y_full = self.p_buf(idx_p, proj)
         assert y_full.shape == x.shape
         y = y_full + x
@@ -202,49 +199,6 @@ def init_model_weights(cfg: ModelConfig) -> ModelWeights:
         head_b=np.zeros(cfg.num_classes))
 
 
-def weights_to_tensors(weights: ModelWeights) -> dict[str, np.ndarray]:
-    """Flatten model weights into named tensors for the archive format."""
-    out = {"pos_embed": weights.pos_embed,
-           "head_w": weights.head_w, "head_b": weights.head_b}
-    for i, bw in enumerate(weights.blocks):
-        p = f"blocks.{i}."
-        out[p + "attn.wq"] = bw.attn.wq
-        out[p + "attn.wk"] = bw.attn.wk
-        out[p + "attn.wv"] = bw.attn.wv
-        out[p + "attn.wp"] = bw.attn.wp
-        for name in ("bq", "bk", "bv", "bp"):
-            val = getattr(bw.attn, name)
-            if val is not None:
-                out[p + "attn." + name] = val
-        out[p + "w1"], out[p + "b1"] = bw.w1, bw.b1
-        out[p + "w2"], out[p + "b2"] = bw.w2, bw.b2
-        out[p + "ln1_gamma"], out[p + "ln1_beta"] = bw.ln1_gamma, bw.ln1_beta
-        out[p + "ln2_gamma"], out[p + "ln2_beta"] = bw.ln2_gamma, bw.ln2_beta
-    return out
-
-
-def weights_from_tensors(tensors: dict[str, np.ndarray], heads: int) -> ModelWeights:
-    """Rebuild model weights from archive tensors (inverse of weights_to_tensors)."""
-    count = 0
-    while f"blocks.{count}.w1" in tensors:
-        count += 1
-    blocks = []
-    for i in range(count):
-        p = f"blocks.{i}."
-        attn = AttentionWeights(
-            wq=tensors[p + "attn.wq"], wk=tensors[p + "attn.wk"],
-            wv=tensors[p + "attn.wv"], wp=tensors[p + "attn.wp"], heads=heads,
-            bq=tensors.get(p + "attn.bq"), bk=tensors.get(p + "attn.bk"),
-            bv=tensors.get(p + "attn.bv"), bp=tensors.get(p + "attn.bp"))
-        blocks.append(BlockWeights(
-            attn=attn, w1=tensors[p + "w1"], b1=tensors[p + "b1"],
-            w2=tensors[p + "w2"], b2=tensors[p + "b2"],
-            ln1_gamma=tensors[p + "ln1_gamma"], ln1_beta=tensors[p + "ln1_beta"],
-            ln2_gamma=tensors[p + "ln2_gamma"], ln2_beta=tensors[p + "ln2_beta"]))
-    return ModelWeights(pos_embed=tensors["pos_embed"], blocks=blocks,
-                        head_w=tensors["head_w"], head_b=tensors["head_b"])
-
-
 class Model:
     """Stack of blocks + mean pool + linear head, in exact or gated form.
 
@@ -252,10 +206,9 @@ class Model:
     advances the gated state.  One Model instance serves one stream.
     """
 
-    def __init__(self, cfg: ModelConfig, weights: ModelWeights | None = None,
-                 ledger: CostLedger | None = None):
+    def __init__(self, cfg: ModelConfig, ledger: CostLedger | None = None):
         self.cfg = cfg
-        self.weights = weights or init_model_weights(cfg)
+        self.weights = init_model_weights(cfg)
         self.ledger = ledger or NullLedger()
         # one budget policy object shared by every gate of every block,
         # copied from the config so separate model instances stay decoupled
@@ -265,12 +218,6 @@ class Model:
                        pool_p=cfg.pool_p, ledger=self.ledger)
             for bw in self.weights.blocks
         ]
-
-    @property
-    def oracle_pool_p(self) -> int:
-        """Pool factor of the matching exact oracle (pooling is part of the
-        architecture, not of the approximation, so the oracle shares it)."""
-        return self.cfg.pool_p if self.cfg.mode == "spatial_pool" else 1
 
     def set_budget(self, r: int):
         """Point every gate of every block at budget r from the next frame on;
@@ -291,11 +238,14 @@ class Model:
 
     def baseline_frame(self, frame: TokenMatrix,
                        ledger: CostLedger | None = None) -> tuple[TokenMatrix, np.ndarray]:
-        """Exact stateless forward pass; the oracle for every gated mode."""
+        """Exact stateless forward pass; the oracle for every gated mode.
+
+        It pools with the config's pool factor: pooling is part of the
+        architecture, not of the approximation, so the oracle shares it."""
         ledger = ledger or NullLedger()
         tokens = self.embed(frame)
         for bw in self.weights.blocks:
-            tokens = block_baseline(tokens, bw, pool_p=self.oracle_pool_p,
+            tokens = block_baseline(tokens, bw, pool_p=self.cfg.pool_p,
                                     ledger=ledger)
         return tokens, self.head(tokens)
 

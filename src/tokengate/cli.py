@@ -50,6 +50,8 @@ _SECTION_KEYS = {
     "stream": {"mode", "rho", "sigma", "eps", "frames", "seed"},
     "policy": {"kind", "r", "h"},
 }
+# config keys whose ModelConfig field has another name
+_MODEL_FIELDS = {"N": "n", "D": "d", "H": "heads"}
 
 
 def _reject_unknown_keys(doc):
@@ -64,36 +66,21 @@ def _reject_unknown_keys(doc):
 
 
 def load_config(path) -> tuple[ModelConfig, StreamConfig, list[int] | None]:
-    """Parse a config document; unknown keys, and a schedule under a policy
+    """Parse a config document; a missing key takes the default of the
+    config class it feeds.  Unknown keys, and a schedule under a policy
     without a budget, raise ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
     _reject_unknown_keys(doc)
-    model = doc.get("model", {})
-    stream = doc.get("stream", {})
-    policy_doc = doc.get("policy", {})
-    policy = Policy(kind=policy_doc.get("kind", "top_r"),
-                    r=policy_doc.get("r", 0),
-                    h=policy_doc.get("h", 0.0))
+    policy = Policy(**doc.get("policy", {}))
     if doc.get("schedule") and policy.kind != "top_r":
         raise ValueError(f"a schedule sets budgets, which a {policy.kind} "
                          f"policy does not have")
-    model_cfg = ModelConfig(
-        blocks=model.get("blocks", 2),
-        n=model.get("N", 16), d=model.get("D", 8), heads=model.get("H", 2),
-        mlp_ratio=model.get("mlp_ratio", 4),
-        mode=model.get("mode", "full"),
-        pool_p=model.get("pool_p", 1),
-        seed=model.get("seed", 0),
-        policy=policy)
-    stream_cfg = StreamConfig(
-        n=model_cfg.n, d=model_cfg.d,
-        frames=stream.get("frames", 8),
-        mode=stream.get("mode", "sparse_change"),
-        rho=stream.get("rho", 0.25),
-        sigma=stream.get("sigma", 1.0),
-        eps=stream.get("eps", 0.1),
-        seed=stream.get("seed", 0))
+    model = {_MODEL_FIELDS.get(key, key): value
+             for key, value in doc.get("model", {}).items()}
+    model_cfg = ModelConfig(**model, policy=policy)
+    stream_cfg = StreamConfig(n=model_cfg.n, d=model_cfg.d,
+                              **doc.get("stream", {}))
     return model_cfg, stream_cfg, doc.get("schedule")
 
 

@@ -72,10 +72,6 @@ class CostLedger:
     def count_nonlinear(self, elems: int):
         self.nonlinear_elems += int(elems)
 
-    @property
-    def total_macs(self) -> int:
-        return sum(self.macs.values())
-
     def steady_state_totals(self) -> dict:
         """Summed snapshot over non-flush frames."""
         keys = [f"macs_{cat}" for cat in MAC_CATEGORIES]
@@ -243,12 +239,3 @@ def memory_report(n: int, d: int, h: int, bytes_per_element: int = 4) -> dict:
     }
     report["block_total"] = sum(report.values())
     return report
-
-
-def savings_ratio(baseline_macs: int, eventful_macs: int) -> float:
-    """How many times cheaper the gated path is (values below 1 mean dearer)."""
-    if baseline_macs <= 0:
-        raise ValueError("baseline count must be positive")
-    if eventful_macs == 0:
-        raise ZeroDivisionError("gated count is zero")
-    return baseline_macs / eventful_macs

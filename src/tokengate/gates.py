@@ -26,10 +26,6 @@ from .kernels import (
     row_l2_norms,
 )
 
-# Threshold settings exercised for the threshold policy's config presets.
-THRESHOLD_PRESETS = (0.2, 1.0, 5.0)
-
-
 @dataclass
 class Policy:
     """Token selection rule: fixed budget ("top_r") or error cutoff ("threshold").

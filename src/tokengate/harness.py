@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .block import Model, ModelConfig
-from .costs import CostLedger, NullLedger, savings_ratio
+from .costs import CostLedger, NullLedger
 from .gates import Policy
 from .streams import StreamConfig, gen_stream
 
@@ -141,8 +141,7 @@ def run_pair(model_cfg: ModelConfig, stream_cfg: StreamConfig,
     # measured over the same frames the gated steady-state totals cover
     report.baseline_macs_total = baseline_ledger.steady_state_totals()["macs_total"]
     if report.steady_macs_total and report.baseline_macs_total:
-        report.savings = savings_ratio(report.baseline_macs_total,
-                                       report.steady_macs_total)
+        report.savings = report.baseline_macs_total / report.steady_macs_total
     return report
 
 

@@ -60,9 +60,18 @@ def layer_norm(x: TokenMatrix, gamma, beta, eps: float = 1e-5) -> TokenMatrix:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact GELU, x * Phi(x), via erf (no tanh approximation)."""
+    """Exact GELU, x * Phi(x), via erf (no tanh approximation).
+
+    Evaluated in one temporary, bitwise equal to the textbook form
+    0.5 * x * (1 + erf(x / sqrt 2)).
+    """
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+    y = x / _SQRT2
+    erf(y, out=y)
+    y += 1.0
+    y *= x
+    y *= 0.5
+    return y
 
 
 def row_l2_norms(x: TokenMatrix) -> np.ndarray:

@@ -81,10 +81,6 @@ class SplitRng:
         picked.sort()
         return picked
 
-    def split(self) -> "SplitRng":
-        """Derive an independent child stream; advances this stream once."""
-        return SplitRng(int(self.next_uint64(1)[0]))
-
     def substream(self, tag: int) -> "SplitRng":
         """Independent child stream keyed by a tag; this stream is untouched.
 

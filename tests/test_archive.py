@@ -10,7 +10,6 @@ from tokengate.archive import (
     load_tensors,
     save_tensors,
 )
-from tokengate.block import ModelConfig, init_model_weights, weights_from_tensors, weights_to_tensors
 from tokengate.rng import SplitRng
 from tokengate.streams import StreamConfig, gen_stream
 
@@ -58,13 +57,3 @@ def test_import_rejects_non_stream_archives(tmp_path):
     with pytest.raises(ValueError):
         import_stream(path)
 
-
-def test_model_weights_survive_archive(tmp_path):
-    path = tmp_path / "weights.zip"
-    cfg = ModelConfig(blocks=2, n=8, d=4, heads=2, seed=2)
-    weights = init_model_weights(cfg)
-    save_tensors(path, weights_to_tensors(weights))
-    rebuilt = weights_from_tensors(load_tensors(path), heads=2)
-    np.testing.assert_allclose(rebuilt.blocks[0].attn.wq,
-                               weights.blocks[0].attn.wq, atol=1e-6)
-    np.testing.assert_allclose(rebuilt.head_w, weights.head_w, atol=1e-6)

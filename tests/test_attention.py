@@ -52,15 +52,13 @@ def msa_scalar_oracle(x, wq, wk, wv, wp, heads):
     return np.array(out)
 
 
-def random_weights(rng, d, heads, biases=False):
+def random_weights(rng, d, heads):
     def draw():
         return rng.normal((d, d)) * d ** -0.5
 
-    kw = {}
-    if biases:
-        kw = {name: rng.normal(d) * 0.1 for name in ("bq", "bk", "bv", "bp")}
     return AttentionWeights(wq=draw(), wk=draw(), wv=draw(), wp=draw(),
-                            heads=heads, **kw)
+                            heads=heads, bq=np.zeros(d), bk=np.zeros(d),
+                            bv=np.zeros(d), bp=np.zeros(d))
 
 
 class TestHeadSplitMerge:

@@ -9,8 +9,6 @@ from tokengate.block import (
     BlockWeights,
     block_baseline,
     init_model_weights,
-    weights_from_tensors,
-    weights_to_tensors,
 )
 from tokengate.costs import CostLedger
 from tokengate.gates import Policy
@@ -38,7 +36,8 @@ def zero_weights(d=4, heads=2, ratio=4):
     hidden = ratio * d
     attn = AttentionWeights(wq=np.zeros((d, d)), wk=np.zeros((d, d)),
                             wv=np.zeros((d, d)), wp=np.zeros((d, d)),
-                            heads=heads)
+                            heads=heads, bq=np.zeros(d), bk=np.zeros(d),
+                            bv=np.zeros(d), bp=np.zeros(d))
     return BlockWeights(attn=attn, w1=np.zeros((d, hidden)),
                         b1=np.zeros(hidden), w2=np.zeros((hidden, d)),
                         b2=np.zeros(d), ln1_gamma=np.ones(d),
@@ -217,6 +216,15 @@ class TestModel:
         for a, b in zip(outputs["full"], outputs["tokenwise_only"]):
             assert rel_err(a, b) < 1e-10
 
+    @pytest.mark.parametrize("mode, pool", [
+        ("full", 2), ("tokenwise_only", 4), ("stgt", 2), ("spatial_pool", 1)])
+    def test_pool_factor_the_mode_would_ignore_rejected(self, mode, pool):
+        with pytest.raises(ValueError, match="pool_p"):
+            ModelConfig(n=16, mode=mode, pool_p=pool)
+        with pytest.raises(ValueError, match="pool_p"):
+            GatedBlock(make_weights(26), 16, Policy("top_r", r=4), mode=mode,
+                       pool_p=pool)
+
     def test_frame_shape_validated(self):
         model = Model(ModelConfig(blocks=1, n=8, d=4, heads=2, seed=26))
         with pytest.raises(ValueError):
@@ -242,15 +250,3 @@ class TestModel:
             exact, _ = model.baseline_frame(frame)
             assert rel_err(tokens, exact) < 1e-5
 
-
-class TestWeightSerialization:
-    def test_round_trip_through_tensors(self):
-        cfg = ModelConfig(blocks=2, n=8, d=4, heads=2, seed=27)
-        weights = init_model_weights(cfg)
-        tensors = weights_to_tensors(weights)
-        rebuilt = weights_from_tensors(tensors, heads=2)
-        assert len(rebuilt.blocks) == 2
-        np.testing.assert_array_equal(rebuilt.pos_embed, weights.pos_embed)
-        np.testing.assert_array_equal(rebuilt.blocks[1].attn.wq,
-                                      weights.blocks[1].attn.wq)
-        np.testing.assert_array_equal(rebuilt.blocks[0].w2, weights.blocks[0].w2)

@@ -5,7 +5,10 @@ import sys
 
 import pytest
 
+from tokengate.block import ModelConfig
 from tokengate.cli import load_config, main
+from tokengate.gates import Policy
+from tokengate.streams import StreamConfig
 
 CONFIG = {
     "model": {"blocks": 2, "N": 16, "D": 8, "H": 2, "mlp_ratio": 4,
@@ -33,6 +36,23 @@ def test_load_config_rejects_unknown_keys(tmp_path, doc, key):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=repr(key)):
+        load_config(str(path))
+
+
+def test_missing_keys_take_the_config_class_defaults(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    model_cfg, stream_cfg, schedule = load_config(str(path))
+    assert model_cfg == ModelConfig(policy=Policy())
+    assert stream_cfg == StreamConfig(n=model_cfg.n, d=model_cfg.d)
+    assert schedule is None
+
+
+def test_pool_factor_outside_spatial_pool_rejected(tmp_path):
+    doc = dict(CONFIG, model=dict(CONFIG["model"], pool_p=2))
+    path = tmp_path / "pooled.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="pool_p"):
         load_config(str(path))
 
 

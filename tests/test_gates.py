@@ -8,7 +8,6 @@ from tokengate.gates import (
     Gate,
     Policy,
     StgtGate,
-    THRESHOLD_PRESETS,
     threshold_indices,
     top_r_indices,
 )
@@ -40,11 +39,6 @@ class TestThreshold:
 
     def test_strict_exceedance_at_zero(self):
         assert threshold_indices([0.0, 0.0], 0.0).size == 0
-
-    def test_presets_present(self):
-        assert THRESHOLD_PRESETS == (0.2, 1.0, 5.0)
-        for h in THRESHOLD_PRESETS:
-            Policy("threshold", h=h)  # must be accepted
 
     def test_against_oracle(self):
         # norms equal to the threshold included; the sweep also covers top_r

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import erf
 
 from tokengate.block import _mlp_forward
 from tokengate.costs import CostLedger, NullLedger
@@ -168,6 +169,14 @@ class TestMlp:
         # at x=1 the exact form gives 0.841345..., the tanh approximation 0.841192
         np.testing.assert_allclose(gelu(np.array([1.0]))[0], 0.8413447460685429,
                                    rtol=1e-12)
+
+    def test_gelu_bitwise_equals_textbook_form(self):
+        x = np.random.default_rng(7).normal(scale=4.0, size=(300, 512))
+        x[0, :4] = [0.0, -0.0, 40.0, -40.0]
+        before = x.copy()
+        want = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+        np.testing.assert_array_equal(gelu(x), want)
+        np.testing.assert_array_equal(x, before)
 
 
 class TestRowNorms:
