@@ -36,7 +36,7 @@ q[idx] = rng.normal((m, dh))
 k[idx] = rng.normal((m, dh))
 
 ledger = CostLedger()
-qk_sparse_update(b, q, k, q[idx], k[idx], idx, idx, ledger)  # rows, cols
+qk_sparse_update(b, q, k, idx, idx, ledger)   # changed rows, changed cols
 print("similarity update")
 print(f"  deviation from full recompute: {np.abs(b - q @ k.T).max():.2e}")
 print(f"  MACs: {ledger.macs['qk']} (= 2*N*M*Dh) "

@@ -34,11 +34,11 @@ from .block import (
     init_model_weights,
 )
 from .costs import (
-    BlockCost,
     CostLedger,
     NullLedger,
     count_block_baseline,
     count_block_eventful,
+    cost_record,
     memory_report,
 )
 from .gates import (

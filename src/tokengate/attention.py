@@ -123,25 +123,25 @@ def msa_baseline(x_norm: TokenMatrix, w: AttentionWeights,
 
 
 def qk_sparse_update(b_matrix: TokenMatrix, q_buf: TokenMatrix, k_buf: TokenMatrix,
-                     q_new: TokenMatrix, k_new: TokenMatrix, rows: IndexSet,
-                     cols: IndexSet, ledger: CostLedger | None = None) -> None:
+                     rows: IndexSet, cols: IndexSet,
+                     ledger: CostLedger | None = None) -> TokenMatrix:
     """Patch the similarity matrix in place after queries ``rows`` and keys
     ``cols`` changed.
 
-    ``q_buf``/``k_buf`` must already contain the fresh rows, which are also
-    passed as ``q_new``/``k_new``.  Rows are recomputed against all keys,
-    then columns against all queries; the overlap block is computed twice,
-    which keeps the update at two plain dense products.  Without pooling
-    ``rows`` and ``cols`` are the same index set.  Returns the column
-    product (queries x cols), the values B now holds at ``cols``.
+    ``q_buf``/``k_buf`` hold every query and key, the fresh ones included.
+    Rows are recomputed against all keys, then columns against all queries;
+    the overlap block is computed twice, which keeps the update at two
+    plain dense products.  Without pooling ``rows`` and ``cols`` are the
+    same index set.  Returns the column product (queries x cols), the
+    values B now holds at ``cols``.
     """
     ledger = ledger or NullLedger()
     if b_matrix.shape != (q_buf.shape[0], k_buf.shape[0]):
         raise ValueError("similarity shape must be (queries, keys)")
     rows = as_index_set(rows, b_matrix.shape[0])
     cols = as_index_set(cols, b_matrix.shape[1])
-    b_matrix[rows, :] = ledger.matmul("qk", q_new, k_buf.T)
-    new_cols = ledger.matmul("qk", q_buf, k_new.T)
+    b_matrix[rows, :] = ledger.matmul("qk", q_buf[rows], k_buf.T)
+    new_cols = ledger.matmul("qk", q_buf, k_buf[cols].T)
     b_matrix[:, cols] = new_cols
     return new_cols
 
@@ -217,12 +217,6 @@ def pool_index_set(idx: IndexSet, grid: int, pool: int) -> IndexSet:
     return np.unique(pooled)
 
 
-def _complement(idx: IndexSet, n: int) -> IndexSet:
-    keep = np.ones(n, dtype=bool)
-    keep[idx] = False
-    return np.flatnonzero(keep)
-
-
 # A patched row sum that cancellation leaves at or below this fraction of
 # its value before the patch is recomputed from B: a patch adds rounding of
 # about eps times the old sum, so the kept part is accurate to eps over it.
@@ -279,8 +273,8 @@ class AttentionState:
             return head_merge(_attend_heads(q, k, v, self.heads, self.ledger))
         if not self.flushed:
             return self._flush(q, k, v)
-        cols = pool_index_set(idx, self.grid, self.pool)
-        return self._advance(q, k, v, q_new, k[cols], idx, cols)
+        return self._advance(q, k, v, idx,
+                             pool_index_set(idx, self.grid, self.pool))
 
     def _flush(self, q, k_kv, v_kv):
         qh, kh = head_split(q, self.heads), head_split(k_kv, self.heads)
@@ -294,21 +288,19 @@ class AttentionState:
         self.flushed = True
         return head_merge(self.av)
 
-    def _advance(self, q, k_kv, v_kv, q_new, k_new_kv, rows, cols):
+    def _advance(self, q, k_kv, v_kv, rows, cols):
         qh, kh = head_split(q, self.heads), head_split(k_kv, self.heads)
-        qh_new = head_split(q_new, self.heads)
-        kh_new = head_split(k_new_kv, self.heads)
         v_idx, u_v, v_changes = self.v_gate(v_kv)
         vh_now = head_split(u_v[v_idx], self.heads)
         vh_delta = head_split(v_changes, self.heads)
-        others = _complement(rows, self.n)
+        others = np.setdiff1d(np.arange(self.n), rows, assume_unique=True)
         patch = (patched_softmax_exps(self.n, self.n_kv, rows.size, cols.size,
                                       v_idx.size) < self.n * self.n_kv)
         self.resynced = 0
         for h in range(self.heads):
             old = self.b[h][np.ix_(others, cols)] if patch else None
-            new_cols = qk_sparse_update(self.b[h], qh[h], kh[h], qh_new[h],
-                                        kh_new[h], rows, cols, self.ledger)
+            new_cols = qk_sparse_update(self.b[h], qh[h], kh[h], rows, cols,
+                                        self.ledger)
             if patch:
                 attn_v = self._patched_softmax(h, rows, others, old,
                                                new_cols[others], v_idx)

@@ -127,15 +127,15 @@ def _cmd_equiv(args) -> int:
 def _cmd_count(args) -> int:
     base = count_block_baseline(args.n, args.d, args.heads, args.mlp_ratio)
     doc = {
-        "baseline": base.as_dict(),
+        "baseline": base,
         "memory": memory_report(args.n, args.d, args.heads,
                                 args.bytes_per_element),
     }
     if args.mode in ("full", "tokenwise_only", "stgt"):
         gated = count_block_eventful(args.n, args.m, args.d, args.heads,
                                      args.mlp_ratio, mode=args.mode)
-        doc["gated"] = gated.as_dict()
-        doc["savings_ratio"] = base.macs_total / gated.macs_total
+        doc["gated"] = gated
+        doc["savings_ratio"] = base["macs_total"] / gated["macs_total"]
     print(json.dumps(doc, indent=2))
     return 0
 
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--mode", default="full",
                          choices=["full", "tokenwise_only", "stgt", "none"])
     p_count.add_argument("--bytes-per-element", type=int, default=4,
-                         choices=[2, 4])
+                         choices=[2, 4, 8])
     p_count.set_defaults(func=_cmd_count)
 
     p_time = sub.add_parser("time", help="median per-frame wall times")

@@ -22,13 +22,23 @@ comparisons can exclude them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 MAC_CATEGORIES = ("token_wise", "qk", "av", "gate_overhead")
 
 
+def cost_record(token_wise: int, qk: int, av: int, gate_overhead: int = 0,
+                adds: int = 0, nonlinear: int = 0) -> dict:
+    """One set of operation counts.  Ledger snapshots, their steady-state
+    sums and the closed forms are all such records, so a closed form is
+    checked against a snapshot by one comparison."""
+    return {"macs_token_wise": token_wise, "macs_qk": qk, "macs_av": av,
+            "macs_gate_overhead": gate_overhead,
+            "macs_total": token_wise + qk + av + gate_overhead,
+            "adds_overhead": adds, "nonlinear_elems": nonlinear}
+
+
 class CostLedger:
-    """Accumulates MACs and adds per frame, with per-frame snapshots."""
+    """Accumulates MACs and adds per frame, with per-frame snapshots: cost
+    records plus a ``flush`` flag."""
 
     def __init__(self):
         self.macs = dict.fromkeys(MAC_CATEGORIES, 0)
@@ -36,23 +46,20 @@ class CostLedger:
         self.nonlinear_elems = 0
         self.frames: list[dict] = []
         self._frame_open = False
-        self._frame_flush = False
+
+    def _running(self) -> dict:
+        return cost_record(*self.macs.values(), self.adds, self.nonlinear_elems)
 
     def begin_frame(self, flush: bool = False):
-        self._frame_start = dict(self.macs)
-        self._adds_start = self.adds
-        self._nl_start = self.nonlinear_elems
+        self._frame_start = self._running()
         self._frame_open = True
         self._frame_flush = flush
 
     def end_frame(self):
         if not self._frame_open:
             raise RuntimeError("end_frame without begin_frame")
-        snap = {f"macs_{cat}": self.macs[cat] - self._frame_start[cat]
-                for cat in MAC_CATEGORIES}
-        snap["adds_overhead"] = self.adds - self._adds_start
-        snap["nonlinear_elems"] = self.nonlinear_elems - self._nl_start
-        snap["macs_total"] = sum(snap[f"macs_{cat}"] for cat in MAC_CATEGORIES)
+        now = self._running()
+        snap = {key: now[key] - self._frame_start[key] for key in now}
         snap["flush"] = self._frame_flush
         self.frames.append(snap)
         self._frame_open = False
@@ -73,15 +80,12 @@ class CostLedger:
         self.nonlinear_elems += int(elems)
 
     def steady_state_totals(self) -> dict:
-        """Summed snapshot over non-flush frames."""
-        keys = [f"macs_{cat}" for cat in MAC_CATEGORIES]
-        keys += ["adds_overhead", "macs_total", "nonlinear_elems"]
-        total = dict.fromkeys(keys, 0)
+        """Summed cost record over non-flush frames."""
+        total = cost_record(0, 0, 0)
         for snap in self.frames:
-            if snap["flush"]:
-                continue
-            for key in keys:
-                total[key] += snap[key]
+            if not snap["flush"]:
+                for key in total:
+                    total[key] += snap[key]
         return total
 
 
@@ -107,34 +111,6 @@ class NullLedger(CostLedger):
         pass
 
 
-@dataclass
-class BlockCost:
-    """Closed-form per-frame operation counts for one transformer block."""
-
-    macs_token_wise: int
-    macs_qk: int
-    macs_av: int
-    macs_gate_overhead: int = 0
-    adds_overhead: int = 0
-    nonlinear_elems: int = 0
-
-    @property
-    def macs_total(self) -> int:
-        return (self.macs_token_wise + self.macs_qk + self.macs_av
-                + self.macs_gate_overhead)
-
-    def as_dict(self) -> dict:
-        return {
-            "macs_token_wise": self.macs_token_wise,
-            "macs_qk": self.macs_qk,
-            "macs_av": self.macs_av,
-            "macs_gate_overhead": self.macs_gate_overhead,
-            "macs_total": self.macs_total,
-            "adds_overhead": self.adds_overhead,
-            "nonlinear_elems": self.nonlinear_elems,
-        }
-
-
 def _norm_and_gelu_elems(n: int, m: int, d: int, mlp_ratio: int) -> int:
     """Two layer norms over all n tokens, GELU over the m MLP rows."""
     return 2 * n * d + m * mlp_ratio * d
@@ -154,21 +130,17 @@ def patched_softmax_exps(n: int, n_kv: int, rows: int, cols: int,
     return rows * n_kv + patched + n * values
 
 
-def count_block_baseline(n: int, d: int, h: int, mlp_ratio: int = 4) -> BlockCost:
+def count_block_baseline(n: int, d: int, h: int, mlp_ratio: int = 4) -> dict:
     """MACs for one exact block frame: qkv + similarity + weighting + proj + MLP."""
     if d % h:
         raise ValueError("width must divide evenly across heads")
     token_wise = 3 * n * d * d + n * d * d + 2 * mlp_ratio * n * d * d
-    return BlockCost(
-        macs_token_wise=token_wise,
-        macs_qk=n * n * d,
-        macs_av=n * n * d,
-        nonlinear_elems=_norm_and_gelu_elems(n, n, d, mlp_ratio) + h * n * n,
-    )
+    return cost_record(token_wise, n * n * d, n * n * d,
+                       nonlinear=_norm_and_gelu_elems(n, n, d, mlp_ratio) + h * n * n)
 
 
 def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
-                         mode: str = "full") -> BlockCost:
+                         mode: str = "full") -> dict:
     """MACs and adds for one steady-state gated block frame with m tokens selected.
 
     In "full" mode the similarity matrix is patched by row/column scatter
@@ -188,8 +160,7 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
         raise ValueError("width must divide evenly across heads")
     token_wise = 3 * m * d * d + m * d * d + 2 * mlp_ratio * m * d * d
     if mode == "full":
-        qk = 2 * n * m * d
-        av = 2 * n * m * d
+        qk = av = 2 * n * m * d
         gate_norms = 4 * n * d            # qkv, value, projection, MLP gates
         adds = 4 * n * d                  # their error subtractions
         adds += h * m * n                 # gathered changes of the forced gates
@@ -197,21 +168,14 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
             adds += 2 * n * d + m * d
         exps = min(patched_softmax_exps(n, n, m, m, m), n * n)
     elif mode in ("tokenwise_only", "stgt"):
-        qk = n * n * d
-        av = n * n * d
+        qk = av = n * n * d
         gate_norms = 3 * n * d            # qkv, projection, MLP gates
         adds = 3 * n * d
         exps = n * n
     else:
         raise ValueError(f"no closed-form cost for mode {mode!r}")
-    return BlockCost(
-        macs_token_wise=token_wise,
-        macs_qk=qk,
-        macs_av=av,
-        macs_gate_overhead=gate_norms,
-        adds_overhead=adds,
-        nonlinear_elems=_norm_and_gelu_elems(n, m, d, mlp_ratio) + h * exps,
-    )
+    return cost_record(token_wise, qk, av, gate_norms, adds,
+                       _norm_and_gelu_elems(n, m, d, mlp_ratio) + h * exps)
 
 
 def memory_report(n: int, d: int, h: int, bytes_per_element: int = 4) -> dict:

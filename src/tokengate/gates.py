@@ -209,10 +209,6 @@ class Buffer:
         self.width = width
         self.b: TokenMatrix | None = None
 
-    @property
-    def initialized(self) -> bool:
-        return self.b is not None
-
     def __call__(self, idx: IndexSet, tokens: TokenMatrix) -> TokenMatrix:
         tokens = np.asarray(tokens, dtype=np.float64)
         idx = as_index_set(idx, self.n)

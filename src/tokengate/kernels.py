@@ -48,15 +48,19 @@ def softmax_rows(x: TokenMatrix) -> TokenMatrix:
 
 
 def layer_norm(x: TokenMatrix, gamma, beta, eps: float = 1e-5) -> TokenMatrix:
-    """Per-row normalization (biased variance), scaled by gamma, shifted by beta."""
+    """Per-row normalization (biased variance), scaled by gamma, shifted by
+    beta, in place on one centred copy of x."""
     x = np.asarray(x, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ValueError("gamma/beta length must equal the token width")
-    mu = x.mean(axis=1, keepdims=True)
-    var = np.mean((x - mu) ** 2, axis=1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gamma + beta
+    y = x - x.mean(axis=1, keepdims=True)
+    var = np.mean(y * y, axis=1, keepdims=True)
+    y /= np.sqrt(var + eps)
+    y *= gamma
+    y += beta
+    return y
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

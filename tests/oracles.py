@@ -15,10 +15,10 @@ def complement_indices(idx, n: int) -> np.ndarray:
     return np.flatnonzero(keep).astype(np.int64)
 
 
-def qk_sparse_update_nonoverlap(b_matrix, q_buf, k_buf, q_new, k_new, idx,
+def qk_sparse_update_nonoverlap(b_matrix, q_buf, k_buf, idx,
                                 ledger=None) -> None:
-    """Same result as ``qk_sparse_update(..., idx, idx)`` with the overlap
-    block computed once.
+    """Same result as ``qk_sparse_update(b_matrix, q_buf, k_buf, idx, idx)``
+    with the overlap block computed once.
 
     The column pass multiplies only the query rows *outside* idx and
     scatters through both axes, cutting that pass from n*m*dh MACs down to
@@ -30,6 +30,6 @@ def qk_sparse_update_nonoverlap(b_matrix, q_buf, k_buf, q_new, k_new, idx,
     idx = as_index_set(idx, b_matrix.shape[0])
     if idx.size == 0:
         return
-    b_matrix[idx, :] = ledger.matmul("qk", q_new, k_buf.T)
+    b_matrix[idx, :] = ledger.matmul("qk", q_buf[idx], k_buf.T)
     rest = complement_indices(idx, q_buf.shape[0])
-    b_matrix[np.ix_(rest, idx)] = ledger.matmul("qk", q_buf[rest], k_new.T)
+    b_matrix[np.ix_(rest, idx)] = ledger.matmul("qk", q_buf[rest], k_buf[idx].T)

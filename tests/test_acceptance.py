@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from tokengate.block import GatedBlock, Model, ModelConfig, init_model_weights
-from tokengate.checks import check_av_invariant, check_policies, check_qk_invariant
+from tokengate.checks import (
+    check_av_invariant,
+    check_policies,
+    check_qk_invariant,
+    state_deviation,
+    state_within_bounds,
+)
 from tokengate.costs import (
     CostLedger,
     count_block_baseline,
@@ -55,11 +61,10 @@ def test_criterion_03_av_delta_exactness():
 
 def test_criterion_04_cost_formula_agreement():
     d, heads, ratio = 16, 2, 4
-    exact = True
     details = []
     for n in (8, 16, 32):
         base = count_block_baseline(n, d, heads, ratio)
-        base_products = base.macs_qk + base.macs_av
+        base_products = base["macs_qk"] + base["macs_av"]
         for m in (0, n // 4, n // 2, n):
             cfg = ModelConfig(blocks=1, n=n, d=d, heads=heads, mlp_ratio=ratio,
                               seed=4)
@@ -72,21 +77,16 @@ def test_criterion_04_cost_formula_agreement():
                 ledger.begin_frame(flush=(t == 0))
                 block.step(stream_rng.normal((n, d)))
                 ledger.end_frame()
-            snap = ledger.frames[-1]
             formula = count_block_eventful(n, m, d, heads, ratio, "full")
-            same = (snap["macs_token_wise"] == formula.macs_token_wise
-                    and snap["macs_qk"] == formula.macs_qk
-                    and snap["macs_av"] == formula.macs_av
-                    and snap["macs_gate_overhead"] == formula.macs_gate_overhead
-                    and snap["adds_overhead"] == formula.adds_overhead)
-            crossover = ((formula.macs_qk + formula.macs_av < base_products)
+            crossover = ((formula["macs_qk"] + formula["macs_av"] < base_products)
                          == (m < n / 2))
-            exact &= same and crossover
-            if not (same and crossover):
+            # rows whose patched softmax sum was resynced pay n exponentials
+            formula["nonlinear_elems"] += n * block.attn.resynced
+            if ledger.frames[-1] != dict(formula, flush=False) or not crossover:
                 details.append(f"n={n} m={m}")
     report("criterion 4: ledger equals closed form + crossover at N/2",
-           exact, "exact integer match for all (N, M)" if exact
-           else "mismatch at " + ", ".join(details))
+           not details, "exact match of every count for all (N, M)"
+           if not details else "mismatch at " + ", ".join(details))
 
 
 def test_criterion_05_memory_arithmetic():
@@ -156,29 +156,17 @@ def test_criterion_09_spatial_pool_mode():
     worst_exact = max(rep.column("rel_l2_error"))
 
     # invariants on the pooled shapes at r < N
-    from tokengate.attention import head_split, pool_tokens
-
     weights = init_model_weights(cfg)
     block = GatedBlock(weights.blocks[0], n, Policy("top_r", r=3),
                        mode="spatial_pool", pool_p=2)
-    worst_qk = worst_av = 0.0
+    worst = np.zeros(3)
     for frame in gen_stream(stream):
         block.step(frame)
-        state = block.attn
-        kp = pool_tokens(state.k_buf.b, state.grid, state.pool)
-        qh = head_split(state.q_buf.b, state.heads)
-        kh = head_split(kp, state.heads)
-        vh = head_split(state.v_gate.u, state.heads)
-        for h in range(state.heads):
-            worst_qk = max(worst_qk,
-                           float(np.abs(state.b[h] - qh[h] @ kh[h].T).max()))
-            worst_av = max(worst_av,
-                           float(np.abs(state.av[h]
-                                        - state.a_gates[h].u.T @ vh[h]).max()))
+        worst = np.maximum(worst, state_deviation(block.attn))
     report("criterion 9: spatial-pool mode",
-           worst_exact < 1e-5 and worst_qk < 1e-6 and worst_av < 1e-6,
-           f"pooled-oracle err {worst_exact:.2e}, QK dev {worst_qk:.2e}, "
-           f"AV dev {worst_av:.2e}")
+           worst_exact < 1e-5 and state_within_bounds(worst),
+           f"pooled-oracle err {worst_exact:.2e}, QK dev {worst[0]:.2e}, "
+           f"AV dev {worst[1]:.2e}, row-sum rel dev {worst[2]:.2e}")
 
 
 def test_criterion_10_walltime_proof_of_concept():

@@ -132,6 +132,15 @@ def test_count_reports_formulas(capsys):
     assert doc["memory"]["similarity_buffer"] == 805_306_368
 
 
+def test_count_memory_at_the_library_element_size(capsys):
+    args = ["count", "--n", "64", "--d", "16", "--heads", "4"]
+    assert main(args) == 0
+    four = json.loads(capsys.readouterr().out)["memory"]
+    assert main(args + ["--bytes-per-element", "8"]) == 0
+    eight = json.loads(capsys.readouterr().out)["memory"]
+    assert eight == {key: 2 * value for key, value in four.items()}
+
+
 def test_time_table(config_path, capsys):
     code = main(["time", "--config", config_path, "--reps", "3"])
     assert code == 0

@@ -106,7 +106,7 @@ class TestRunPair:
         cfg = small_model(r=4, blocks=2)
         report = run_pair(cfg, small_stream(frames=6))
         per_frame = count_block_baseline(cfg.n, cfg.d, cfg.heads,
-                                         cfg.mlp_ratio).macs_total * cfg.blocks
+                                         cfg.mlp_ratio)["macs_total"] * cfg.blocks
         assert report.baseline_macs_total == per_frame * 5  # 6 frames - flush
 
 

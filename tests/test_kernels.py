@@ -115,6 +115,18 @@ class TestLayerNorm:
         with pytest.raises(ValueError):
             layer_norm(np.zeros((2, 3)), np.ones(2), np.zeros(3))
 
+    def test_bitwise_equals_textbook_form(self):
+        rng = np.random.default_rng(8)
+        for shape in ((1024, 192), (576, 128), (196, 768), (7, 3)):
+            x = rng.normal(loc=3.0, scale=5.0, size=shape)
+            gamma, beta = rng.normal(size=shape[1]), rng.normal(size=shape[1])
+            before = x.copy()
+            mu = x.mean(axis=1, keepdims=True)
+            var = np.mean((x - mu) ** 2, axis=1, keepdims=True)
+            want = (x - mu) / np.sqrt(var + 1e-5) * gamma + beta
+            np.testing.assert_array_equal(layer_norm(x, gamma, beta), want)
+            np.testing.assert_array_equal(x, before)
+
 
 def mlp_row_oracle(row, w1, b1, w2, b2):
     """Scalar-by-scalar evaluation of the two-layer perceptron for one token."""
