@@ -2,7 +2,8 @@
 
 The incremental attention updates cost 2NMD each, against N^2 D from
 scratch, so the products only get cheaper once fewer than half the tokens
-update.  Token-wise work always scales with M.  The closed forms are not
+update; from M = N/2 on each product is taken from scratch, so they never
+cost more than the exact block's.  Token-wise work always scales with M.  The closed forms are not
 estimates: an instrumented run of the gated block reproduces them to the
 exact integer.
 """

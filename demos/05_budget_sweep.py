@@ -2,9 +2,10 @@
 
 One paired run per budget on the same stream; each row reports the mean
 output error against the exact oracle, the measured steady-state MACs, and
-the savings ratio.  Error falls and cost rises with the budget; at the full
-budget the row/column updates touch every entry twice, so the ratio dips
-below one.
+the savings ratio.  Error falls and cost rises with the budget.  At the
+full budget the output equals the oracle's and the attention products cost
+what the oracle's do; only the gates' norm evaluations are extra, so the
+ratio sits just below one.
 """
 
 import tempfile

@@ -24,9 +24,16 @@ token stream:
     identity  new = old + A_now dV + dA (V_now - dV)  with every factor cut
     down to the selected columns/rows.
 
-When patching would evaluate at least as many exponentials as the whole
-matrix has elements, the full softmax is taken instead, which also
-refreshes the normalizers.  The scale 1 / sqrt(d_head) is applied when the
+Each piece falls back to the oracle's computation on a frame where
+patching would cost at least as much.  The softmax is taken whole when
+patching would evaluate at least as many exponentials as the matrix has
+elements, which also refreshes the normalizers.  ``B`` is recomputed in
+one product when the changed rows and columns together cover at least its
+size.  ``av`` is recomputed as (gate reference A)^T (gate reference V) once
+the value gate picks at least half of the key columns; the attention
+gate's reference is then overwritten at those columns without computing
+changes.  A frame where every gate takes every token thus runs the
+oracle's products on the oracle's operands.  The scale 1 / sqrt(d_head) is applied when the
 softmax is taken, so ``B`` always stores raw products.
 """
 
@@ -289,25 +296,47 @@ class AttentionState:
         return head_merge(self.av)
 
     def _advance(self, q, k_kv, v_kv, rows, cols):
+        n, n_kv = self.n, self.n_kv
         qh, kh = head_split(q, self.heads), head_split(k_kv, self.heads)
         v_idx, u_v, v_changes = self.v_gate(v_kv)
-        vh_now = head_split(u_v[v_idx], self.heads)
-        vh_delta = head_split(v_changes, self.heads)
-        others = np.setdiff1d(np.arange(self.n), rows, assume_unique=True)
-        patch = (patched_softmax_exps(self.n, self.n_kv, rows.size, cols.size,
-                                      v_idx.size) < self.n * self.n_kv)
+        # each product is taken whole when patching would cost at least as much
+        whole_qk = rows.size * n_kv + n * cols.size >= n * n_kv
+        whole_av = 2 * v_idx.size >= n_kv
+        every_v = v_idx.size == n_kv
+        if whole_av:
+            vh = head_split(u_v, self.heads)
+        else:
+            vh_now = head_split(u_v[v_idx], self.heads)
+            vh_delta = head_split(v_changes, self.heads)
+        others = np.setdiff1d(np.arange(n), rows, assume_unique=True)
+        # patching the softmax on a frame that takes B whole would cost at
+        # least the N x N_kv exponentials of taking it whole, so it never does
+        patch = not whole_qk and (patched_softmax_exps(
+            n, n_kv, rows.size, cols.size, v_idx.size) < n * n_kv)
         self.resynced = 0
         for h in range(self.heads):
             old = self.b[h][np.ix_(others, cols)] if patch else None
-            new_cols = qk_sparse_update(self.b[h], qh[h], kh[h], rows, cols,
-                                        self.ledger)
+            if whole_qk:
+                self.b[h] = self.ledger.matmul("qk", qh[h], kh[h].T)
+            else:
+                new_cols = qk_sparse_update(self.b[h], qh[h], kh[h], rows, cols,
+                                            self.ledger)
             if patch:
                 attn_v = self._patched_softmax(h, rows, others, old,
                                                new_cols[others], v_idx)
             else:
-                attn_v = self._full_softmax(h)[:, v_idx]
-            av_delta_update(self.av[h], attn_v, self.a_gates[h], v_idx,
-                            vh_delta[h], vh_now[h], self.ledger)
+                attn_v = self._full_softmax(h)
+                if not every_v:
+                    attn_v = attn_v[:, v_idx]
+            if not whole_av:
+                av_delta_update(self.av[h], attn_v, self.a_gates[h], v_idx,
+                                vh_delta[h], vh_now[h], self.ledger)
+                continue
+            gate = self.a_gates[h]
+            gate.overwrite(attn_v.T, v_idx)
+            # A itself when it is the whole reference: the oracle's product
+            a_ref = attn_v if every_v else gate.u.T
+            self.av[h] = self.ledger.matmul("av", a_ref, vh[h])
         return head_merge(self.av)
 
     def _full_softmax(self, h):

@@ -8,6 +8,10 @@ costs m*k*n MACs.  Counted MAC categories:
   av             attention-value products (incremental or from scratch)
   gate_overhead  squared-norm evaluation inside selection policies
 
+The incremental path of "full" mode takes each product from scratch on a
+frame where patching would cost at least as much, so per block it never
+pays more than the exact block's N*N*D for either product.
+
 Gate error subtractions and the extra additions of the incremental
 attention-value update are tracked separately as plain adds.  Nonlinear
 work is counted apart from the MACs as ``nonlinear_elems``: the elements
@@ -145,14 +149,16 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
 
     In "full" mode the similarity matrix is patched by row/column scatter
     (2NMD) and the attention-value product by the aligned delta identity
-    (2NMD), and each head's softmax is patched (``patched_softmax_exps``)
-    unless that costs at least the N*N exponentials of a full softmax; rows
-    resynced on the frame add N exponentials each, which no closed form
-    predicts.  In "tokenwise_only" and "stgt" modes both products are
-    recomputed from the buffered tensors, so only token-wise work scales
-    with m.  There is no closed form for "spatial_pool": the number of
-    refreshed pooled columns depends on where the selected tokens sit on
-    the grid, so pooled runs are costed by instrumentation only.
+    (2NMD) while 2M < N; from 2M = N on each is one product of the exact
+    block's N*N*D, and the forced-gate and delta-product adds vanish.  Each
+    head's softmax is patched (``patched_softmax_exps``) unless that costs
+    at least the N*N exponentials of a full softmax; rows resynced on the
+    frame add N exponentials each, which no closed form predicts.  In
+    "tokenwise_only" and "stgt" modes both products are recomputed from the
+    buffered tensors, so only token-wise work scales with m.  There is no
+    closed form for "spatial_pool": the number of refreshed pooled columns
+    depends on where the selected tokens sit on the grid, so pooled runs are
+    costed by instrumentation only.
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
@@ -160,12 +166,12 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
         raise ValueError("width must divide evenly across heads")
     token_wise = 3 * m * d * d + m * d * d + 2 * mlp_ratio * m * d * d
     if mode == "full":
-        qk = av = 2 * n * m * d
+        qk = av = min(2 * n * m * d, n * n * d)
         gate_norms = 4 * n * d            # qkv, value, projection, MLP gates
         adds = 4 * n * d                  # their error subtractions
-        adds += h * m * n                 # gathered changes of the forced gates
-        if m > 0:                         # delta-product extra additions
-            adds += 2 * n * d + m * d
+        if 0 < 2 * m < n:                 # av by the delta identity:
+            adds += h * m * n             # the forced gates' changes,
+            adds += 2 * n * d + m * d     # the delta products' extra adds
         exps = min(patched_softmax_exps(n, n, m, m, m), n * n)
     elif mode in ("tokenwise_only", "stgt"):
         qk = av = n * n * d

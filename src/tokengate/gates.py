@@ -159,9 +159,21 @@ class DeltaGate(Gate):
         return idx, self.u, self._update(idx, c[idx])
 
     def forced(self, rows: TokenMatrix, idx: IndexSet) -> TokenMatrix:
+        """``overwrite`` that also returns the changes, one subtraction per
+        element; on the flush they equal ``rows``."""
+        idx = as_index_set(idx, self.n)
+        rows = np.asarray(rows, dtype=np.float64)
+        old = None if self.u is None else self.u[idx]
+        self.overwrite(rows, idx)
+        if old is None:
+            return rows.copy()
+        self.ledger.count_adds(rows.size)
+        return np.subtract(rows, old, out=old)
+
+    def overwrite(self, rows: TokenMatrix, idx: IndexSet):
         """Skip the policy and set exactly the externally chosen tokens idx
-        to ``rows``, their new values gathered (|idx| x width); returns the
-        changes, one subtraction per element.
+        to ``rows``, their new values gathered (|idx| x width).  Covering
+        every token copies in place, so the reference keeps its layout.
 
         The first call flushes, so it must cover every token.
         """
@@ -170,14 +182,15 @@ class DeltaGate(Gate):
         if rows.shape != (idx.size, self.width):
             raise ValueError(f"expected rows of shape {(idx.size, self.width)}, "
                              f"got {rows.shape}")
-        self.last_idx = idx
         if self.u is None:
             if idx.size != self.n:
                 raise ValueError("a first forced update must cover every token")
             self.u = rows.copy()
-            return rows.copy()
-        self.ledger.count_adds(rows.size)
-        return self._update(idx, rows)
+        elif idx.size == self.n:
+            np.copyto(self.u, rows)
+        else:
+            self.u[idx] = rows
+        self.last_idx = idx
 
     def _update(self, idx, fresh):
         changes = fresh - self.u[idx]

@@ -23,7 +23,7 @@ from .streams import StreamConfig, gen_stream
 CSV_COLUMNS = [
     "frame", "r_effective", "selected_qkv", "selected_p", "selected_mlp",
     "macs_total", "macs_qk", "macs_av", "macs_tokenwise", "adds_overhead",
-    "rel_l2_error", "cosine", "argmax_match", "wall_ms",
+    "nonlinear_elems", "rel_l2_error", "cosine", "argmax_match", "wall_ms",
 ]
 
 
@@ -125,6 +125,7 @@ def run_pair(model_cfg: ModelConfig, stream_cfg: StreamConfig,
             "macs_av": snap["macs_av"],
             "macs_tokenwise": snap["macs_token_wise"],
             "adds_overhead": snap["adds_overhead"],
+            "nonlinear_elems": snap["nonlinear_elems"],
             "rel_l2_error": relative_l2(tokens, exact_tokens),
             "cosine": cosine_similarity(tokens, exact_tokens),
             "argmax_match": int(np.argmax(scores) == np.argmax(exact_scores)),

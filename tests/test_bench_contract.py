@@ -32,19 +32,26 @@ def test_tracer_wraps_every_target_and_restores_it():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_traced_steps_and_state_checks_run_in_every_mode(mode):
-    cfg = ModelConfig(blocks=1, n=16, d=8, heads=2, mode=mode,
+    # in "full", r = 8 of 16 takes both products whole with only some value
+    # columns refreshed and r = 2 patches them; the last frame is full-budget
+    n, schedule = 16, (4, 8, 2, 16)
+    cfg = ModelConfig(blocks=1, n=n, d=8, heads=2, mode=mode,
                       pool_p=2 if mode == "spatial_pool" else 1, seed=1,
                       policy=Policy("top_r", r=4))
     model = Model(cfg)
     tracer = spans.Tracer()
-    with tracer.installed(spans.STEP_TARGETS):
-        for frame in gen_stream(StreamConfig(n=16, d=8, frames=4, seed=2)):
+    stream = gen_stream(StreamConfig(n=n, d=8, frames=len(schedule), seed=2))
+    for r, frame in zip(schedule, stream):
+        model.set_budget(r)
+        with tracer.installed(spans.STEP_TARGETS):
             tokens, scores = model.step(frame)
+        if mode in ("full", "spatial_pool"):
+            deviation = verify.invariant_deviation(model)
+            assert verify.invariant_problems(*deviation) == []
     assert tracer.total["block.step"] > 0
     exact, _ = model.baseline_frame(frame)
-    problems, _ = verify.frame_problems(model, 4, tokens, scores, exact)
-    assert problems == []
+    problems, err = verify.frame_problems(model, n, tokens, scores, exact)
+    assert problems == [] and err == 0.0
     assert verify.live_state_bytes(model)["gates"] > 0
     if mode in ("full", "spatial_pool"):
         assert tracer.counts["gates.tokens.v"] > 0
-        assert verify.invariant_problems(*verify.invariant_deviation(model)) == []

@@ -3,6 +3,7 @@ import pytest
 
 from tokengate.attention import AttentionWeights, msa_baseline
 from tokengate.block import (
+    MODES,
     GatedBlock,
     Model,
     ModelConfig,
@@ -185,6 +186,25 @@ class TestModel:
             exact_tokens, exact_scores = model.baseline_frame(frame)
             assert rel_err(tokens, exact_tokens) < 1e-5
             assert rel_err(scores, exact_scores) < 1e-5
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n, d", [(16, 8), (64, 16)])
+    def test_full_budget_frames_are_bitwise_exact(self, mode, n, d):
+        # every gate takes all tokens on an r = N frame, so the step runs the
+        # oracle's products on the same operands, mid-stream ones included
+        schedule = [n, 4, n, 1, 0, n]
+        cfg = ModelConfig(blocks=2, n=n, d=d, heads=2, seed=27, mode=mode,
+                          pool_p=2 if mode == "spatial_pool" else 1)
+        model = Model(cfg)
+        stream = StreamConfig(n=n, d=d, frames=len(schedule), mode="drift",
+                              eps=0.1, seed=28)
+        for r, frame in zip(schedule, gen_stream(stream)):
+            model.set_budget(r)
+            tokens, scores = model.step(frame)
+            if r == n:
+                exact_tokens, exact_scores = model.baseline_frame(frame)
+                assert np.array_equal(tokens, exact_tokens)
+                assert np.array_equal(scores, exact_scores)
 
     def test_argmax_agreement_improves_with_budget(self):
         agreement = {}

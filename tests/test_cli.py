@@ -7,7 +7,9 @@ import pytest
 
 from tokengate.block import ModelConfig
 from tokengate.cli import load_config, main
+from tokengate.costs import count_block_baseline, count_block_eventful
 from tokengate.gates import Policy
+from tokengate.harness import CSV_COLUMNS
 from tokengate.streams import StreamConfig
 
 CONFIG = {
@@ -66,6 +68,14 @@ def test_run_writes_csv_and_summary(config_path, tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5
     assert rows[0]["frame"] == "0"
+    assert list(rows[0]) == CSV_COLUMNS
+    assert CSV_COLUMNS.index("nonlinear_elems") == CSV_COLUMNS.index("adds_overhead") + 1
+    # two blocks: the flush frame pays the exact block's nonlinear work, a
+    # steady frame at least the closed form's (resynced rows pay more)
+    exact = count_block_baseline(16, 8, 2)["nonlinear_elems"]
+    steady = count_block_eventful(16, 4, 8, 2)["nonlinear_elems"]
+    assert int(rows[0]["nonlinear_elems"]) == 2 * exact
+    assert all(int(row["nonlinear_elems"]) >= 2 * steady for row in rows[1:])
     summary = json.loads(open(out_json).read())
     assert summary["frames"] == 5
     printed = json.loads(capsys.readouterr().out)

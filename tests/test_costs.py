@@ -59,10 +59,22 @@ class TestEventfulFormula:
         assert cost["macs_qk"] == 2 * 4096 * 768 * 768 == 4_831_838_208
         assert count_block_baseline(4096, 768, 12)["macs_qk"] == 12_884_901_888
 
-    def test_full_budget_overlap_penalty(self):
+    def test_full_budget_products_at_oracle_cost(self):
         n, d = 32, 16
         cost = count_block_eventful(n, n, d, 2)
-        assert cost["macs_qk"] == 2 * n * n * d  # twice the from-scratch product
+        base = count_block_baseline(n, d, 2)
+        assert cost["macs_qk"] == cost["macs_av"] == base["macs_qk"] == n * n * d
+
+    @pytest.mark.parametrize("n", [8, 9, 16])
+    def test_delta_adds_only_while_patching_pays(self, n):
+        d, heads = 16, 2
+        gates_only = 4 * n * d    # the four gates' error subtractions
+        for m in range(n + 1):
+            adds = count_block_eventful(n, m, d, heads)["adds_overhead"]
+            if 0 < 2 * m < n:     # forced-gate changes and delta-product adds
+                assert adds == gates_only + heads * m * n + 2 * n * d + m * d
+            else:                 # 2m = n is the tie: products taken whole
+                assert adds == gates_only, (n, m)
 
     def test_crossover_at_half(self):
         for n in (8, 16, 32, 64):
