@@ -5,21 +5,24 @@ token stream:
 
   * ``B`` — the raw query-key similarity matrix.  When only ``m`` tokens
     changed, the rows at those indices are recomputed against the full key
-    buffer and scattered in, then the columns at those indices are
-    recomputed against the full query buffer and scattered in.  Everything
-    else is still valid.
+    buffer and written in whole, then the columns at those indices are
+    recomputed against the full query buffer and written in through one
+    flat index, one pass over B.  Everything else is still valid.
   * per-row softmax normalizers: an offset at or above every scaled score
     of the row, and the sum of the row's exponentials taken against it, so
     that A = exp(B / sqrt(d_head) - offset) / sum.  Rows whose query changed
-    are recomputed; every other row has its sum patched at the changed key
-    columns, subtracting the old exponentials and adding the new ones, and
+    are recomputed from the fresh row product; every other row has its sum
+    patched at the changed key columns, subtracting the old exponentials
+    (gathered from B before the write) and adding the new ones, and
     rescaled online when a new score rises above its offset.  A row whose
     sum cancellation leaves at or below ``RESYNC_FRACTION`` of its value
     before the patch is recomputed from ``B``.
   * an attention-side delta gate whose tokens are the *columns* of the
     row-softmaxed matrix, forced to select the same indices as the value
-    gate so the delta products stay aligned.  Only those columns of A are
-    ever exponentiated on the patched path.
+    gate so the delta products stay aligned.  On the patched path A is
+    only formed at those columns: columns among the changed ones reuse the
+    exponentials the patch has taken, and only the others are
+    exponentiated from ``B``.
   * ``av`` — the cached attention-weighted value sum, advanced by the
     identity  new = old + A_now dV + dA (V_now - dV)  with every factor cut
     down to the selected columns/rows.
@@ -131,26 +134,33 @@ def msa_baseline(x_norm: TokenMatrix, w: AttentionWeights,
 
 def qk_sparse_update(b_matrix: TokenMatrix, q_buf: TokenMatrix, k_buf: TokenMatrix,
                      rows: IndexSet, cols: IndexSet,
-                     ledger: CostLedger | None = None) -> TokenMatrix:
+                     ledger: CostLedger | None = None) -> tuple[TokenMatrix, TokenMatrix]:
     """Patch the similarity matrix in place after queries ``rows`` and keys
     ``cols`` changed.
 
     ``q_buf``/``k_buf`` hold every query and key, the fresh ones included.
-    Rows are recomputed against all keys, then columns against all queries;
-    the overlap block is computed twice, which keeps the update at two
-    plain dense products.  Without pooling ``rows`` and ``cols`` are the
-    same index set.  Returns the column product (queries x cols), the
-    values B now holds at ``cols``.
+    Rows are recomputed against all keys and columns against all queries;
+    the overlap block is computed in both products, which keeps the update
+    at two plain dense products, and B holds the column product's values
+    there.  The columns are written through one flat index, so B must be
+    C-contiguous.  Without pooling ``rows`` and ``cols`` are the same index
+    set.  Returns the row product (rows x keys) and the column product
+    (queries x cols): the values B now holds at ``rows`` and at ``cols``.
     """
     ledger = ledger or NullLedger()
     if b_matrix.shape != (q_buf.shape[0], k_buf.shape[0]):
         raise ValueError("similarity shape must be (queries, keys)")
-    rows = as_index_set(rows, b_matrix.shape[0])
-    cols = as_index_set(cols, b_matrix.shape[1])
-    b_matrix[rows, :] = ledger.matmul("qk", q_buf[rows], k_buf.T)
+    if not b_matrix.flags.c_contiguous:
+        raise ValueError("similarity matrix must be C-contiguous")
+    n, n_kv = b_matrix.shape
+    rows = as_index_set(rows, n)
+    cols = as_index_set(cols, n_kv)
+    new_rows = ledger.matmul("qk", q_buf[rows], k_buf.T)
     new_cols = ledger.matmul("qk", q_buf, k_buf[cols].T)
-    b_matrix[:, cols] = new_cols
-    return new_cols
+    new_rows[:, cols] = new_cols[rows]
+    b_matrix[rows] = new_rows
+    b_matrix.reshape(-1)[np.arange(n)[:, None] * n_kv + cols] = new_cols
+    return new_rows, new_cols
 
 
 def av_delta_update(av: TokenMatrix, attn_now: TokenMatrix, a_gate: DeltaGate,
@@ -313,17 +323,20 @@ class AttentionState:
         # least the N x N_kv exponentials of taking it whole, so it never does
         patch = not whole_qk and (patched_softmax_exps(
             n, n_kv, rows.size, cols.size, v_idx.size) < n * n_kv)
+        # flat positions in B of the other rows' scores at the changed columns
+        old_at = others[:, None] * n_kv + cols if patch else None
         self.resynced = 0
         for h in range(self.heads):
-            old = self.b[h][np.ix_(others, cols)] if patch else None
+            if patch:
+                old = self.b[h].reshape(-1)[old_at]
             if whole_qk:
                 self.b[h] = self.ledger.matmul("qk", qh[h], kh[h].T)
             else:
-                new_cols = qk_sparse_update(self.b[h], qh[h], kh[h], rows, cols,
-                                            self.ledger)
+                new_rows, new_cols = qk_sparse_update(self.b[h], qh[h], kh[h],
+                                                      rows, cols, self.ledger)
             if patch:
-                attn_v = self._patched_softmax(h, rows, others, old,
-                                               new_cols[others], v_idx)
+                attn_v = self._patched_softmax(h, rows, new_rows, others, old,
+                                               cols, new_cols, v_idx)
             else:
                 attn_v = self._full_softmax(h)
                 if not every_v:
@@ -342,43 +355,61 @@ class AttentionState:
     def _full_softmax(self, h):
         """Softmax of every row of head h: all its rows recomputed, in the
         operations and order of ``softmax_rows``."""
-        attn = self._recompute_rows(h, slice(None))
+        attn = self._recompute_rows(h, slice(None), self.b[h])
         attn /= self.row_sum[h][:, None]
         return attn
 
-    def _patched_softmax(self, h, rows, others, old, new, v_idx):
+    def _patched_softmax(self, h, rows, new_rows, others, old, cols, new_cols,
+                         v_idx):
         """Bring head h's normalizers up to date after B changed at query
-        rows ``rows`` and at the key columns where the other rows held
-        ``old`` and now hold ``new``; return the attention at columns v_idx.
+        rows ``rows``, now holding ``new_rows``, and at key columns ``cols``,
+        where the other rows held ``old`` and every row now holds
+        ``new_cols``; return the attention at columns v_idx.
+
+        The value gate's columns among ``cols`` reuse the exponentials of
+        the row recompute, the patch and the resync; only its other columns
+        are exponentiated from B, for every row.
         """
         scale = np.sqrt(self.dh)
         offset, total = self.row_offset[h], self.row_sum[h]
-        self._recompute_rows(h, rows)
-        if old.shape[1]:
+        # new_cols becomes every row's exponentials at cols against its offset
+        new_cols[rows] = self._recompute_rows(h, rows, new_rows)[:, cols]
+        if cols.size:
             prev_offset, prev_total = offset[others], total[others]
             old /= scale
             old -= prev_offset[:, None]
             kept = prev_total - self._exp(old).sum(axis=1)
+            new = new_cols[others]
             new /= scale
             new_offset = np.maximum(prev_offset, new.max(axis=1))
             new -= new_offset[:, None]
             total[others] = (kept * self._exp(prev_offset - new_offset)
                              + self._exp(new).sum(axis=1))
             offset[others] = new_offset
+            new_cols[others] = new
             stale = others[~(kept > RESYNC_FRACTION * prev_total)]
             self.resynced += stale.size
-            self._recompute_rows(h, stale)
-        attn_v = self.b[h][:, v_idx]
-        attn_v /= scale
-        attn_v -= offset[:, None]
-        self._exp(attn_v)
-        attn_v /= total[:, None]
-        return attn_v
+            new_cols[stale] = self._recompute_rows(h, stale, self.b[h][stale])[:, cols]
+        shared = np.isin(v_idx, cols, assume_unique=True)
+        rest = self.b[h][:, v_idx[~shared]]
+        rest /= scale
+        rest -= offset[:, None]
+        self._exp(rest)
+        exps = new_cols
+        if not np.array_equal(v_idx, cols):
+            # v_idx's columns of [new_cols | rest], in v_idx's order
+            at = np.empty(v_idx.size, dtype=np.int64)
+            at[shared] = np.searchsorted(cols, v_idx[shared])
+            at[~shared] = cols.size + np.arange(rest.shape[1])
+            exps = np.take(np.concatenate([new_cols, rest], axis=1), at, axis=1)
+        exps /= total[:, None]
+        return exps
 
-    def _recompute_rows(self, h, rows):
-        """Normalizers of head h's rows from B, N_kv exponentials a row;
-        returns the rows' exponentials against their new offsets."""
-        x = self.b[h][rows] / np.sqrt(self.dh)
+    def _recompute_rows(self, h, rows, scores):
+        """Normalizers of head h's rows from their raw scores (B's values at
+        those rows), N_kv exponentials a row; returns the rows'
+        exponentials against their new offsets."""
+        x = scores / np.sqrt(self.dh)
         offset = x.max(axis=1)
         x -= offset[:, None]
         self.row_offset[h, rows] = offset

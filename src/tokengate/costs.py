@@ -17,7 +17,8 @@ attention-value update are tracked separately as plain adds.  Nonlinear
 work is counted apart from the MACs as ``nonlinear_elems``: the elements
 through layer norm and GELU, plus the exponentials the softmax evaluates
 (every score of a full softmax; on the patched path of "full" mode only
-the recomputed rows, the changed columns and the value gate's columns).
+the recomputed rows, the changed columns and the value gate's columns
+outside them).
 
 Flush frames (where every state tensor is initialized from a full
 computation) are flagged in the per-frame snapshots so steady-state
@@ -127,8 +128,11 @@ def patched_softmax_exps(n: int, n_kv: int, rows: int, cols: int,
     ``rows`` changed queries are recomputed against all n_kv keys; when
     ``cols`` key columns changed, each of the other rows pays its old and
     new scores there plus one rescale factor; and every row pays the
-    ``values`` columns the value gate picked, the attention the value
-    update reads.  Each resynced row adds n_kv more.
+    ``values`` columns it reads from B: the value gate's columns outside
+    the changed ones, whose exponentials the patch already holds.  Each
+    resynced row adds n_kv more.  Whether to patch is decided with
+    ``values`` set to all of the value gate's columns, so the decision does
+    not move with the overlap.
     """
     patched = (n - rows) * (2 * cols + 1) if cols else 0
     return rows * n_kv + patched + n * values
@@ -151,9 +155,11 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
     (2NMD) and the attention-value product by the aligned delta identity
     (2NMD) while 2M < N; from 2M = N on each is one product of the exact
     block's N*N*D, and the forced-gate and delta-product adds vanish.  Each
-    head's softmax is patched (``patched_softmax_exps``) unless that costs
-    at least the N*N exponentials of a full softmax; rows resynced on the
-    frame add N exponentials each, which no closed form predicts.  In
+    head's softmax is patched unless ``patched_softmax_exps`` with all M
+    value columns charged costs at least the N*N exponentials of a full
+    softmax; a patch evaluates none of the value columns afresh, as they
+    are the changed ones.  Rows resynced on the frame add N
+    exponentials each, which no closed form predicts.  In
     "tokenwise_only" and "stgt" modes both products are recomputed from the
     buffered tensors, so only token-wise work scales with m.  There is no
     closed form for "spatial_pool": the number of refreshed pooled columns
@@ -172,7 +178,8 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
         if 0 < 2 * m < n:                 # av by the delta identity:
             adds += h * m * n             # the forced gates' changes,
             adds += 2 * n * d + m * d     # the delta products' extra adds
-        exps = min(patched_softmax_exps(n, n, m, m, m), n * n)
+        patch = patched_softmax_exps(n, n, m, m, m) < n * n
+        exps = patched_softmax_exps(n, n, m, m, 0) if patch else n * n
     elif mode in ("tokenwise_only", "stgt"):
         qk = av = n * n * d
         gate_norms = 3 * n * d            # qkv, projection, MLP gates

@@ -20,7 +20,7 @@ from tokengate.checks import (
     state_deviation,
     state_within_bounds,
 )
-from tokengate.costs import CostLedger
+from tokengate.costs import CostLedger, NullLedger
 from tokengate.gates import DeltaGate, Policy
 from tokengate.rng import SplitRng
 
@@ -159,6 +159,48 @@ class TestQkSparseUpdate:
         qk_sparse_update(b, q, k, rows, cols, ledger)
         np.testing.assert_allclose(b, q @ k.T, atol=1e-12)
         assert ledger.macs["qk"] == 3 * 3 * 4 + 8 * 1 * 4
+
+    def test_bitwise_equals_the_fancy_index_update(self):
+        # rows equal to cols, rows differing from cols (pooled keys), none
+        rng = SplitRng(13)
+        for n, n_kv, rows, cols in ((8, 8, [1, 4, 6], [1, 4, 6]),
+                                    (8, 3, [1, 5, 6], [0, 2]),
+                                    (8, 8, [], [])):
+            q, k = rng.normal((n, 4)), rng.normal((n_kv, 4))
+            b = q @ k.T
+            rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+            q[rows], k[cols] = rng.normal((rows.size, 4)), rng.normal((cols.size, 4))
+            want = b.copy()
+            want[rows, :] = q[rows] @ k.T
+            want[:, cols] = q @ k[cols].T
+            new_rows, new_cols = qk_sparse_update(b, q, k, rows, cols)
+            np.testing.assert_array_equal(b, want)
+            np.testing.assert_array_equal(new_rows, want[rows])
+            np.testing.assert_array_equal(new_cols, want[:, cols])
+
+    def test_overlap_block_holds_the_column_product(self):
+        # should the two products round the overlap apart, B and the row
+        # product handed back both hold the column product there
+        class SkewedRows(NullLedger):
+            def matmul(self, category, a, b):
+                out = a @ b
+                return out + 1.0 if out.shape == (3, 8) else out
+
+        _, q, k, b = self._instance(15, 8, 4)
+        idx = np.array([1, 4, 6])
+        new_rows, new_cols = qk_sparse_update(b, q, k, idx, idx, SkewedRows())
+        np.testing.assert_array_equal(b[np.ix_(idx, idx)], new_cols[idx])
+        np.testing.assert_array_equal(new_rows, b[idx])
+        np.testing.assert_array_equal(new_cols, b[:, idx])
+
+    def test_rejects_a_matrix_that_is_not_c_contiguous(self):
+        # a flat write into a non-contiguous B would land in a copy
+        _, q, k, _ = self._instance(14, 6, 3)
+        b = (k @ q.T).T
+        before = b.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            qk_sparse_update(b, q, k, np.array([2]), np.array([2]))
+        np.testing.assert_array_equal(b, before)
 
     def test_nonoverlap_equivalence(self):
         # the instances of acceptance criterion 2's invariant sweep

@@ -63,7 +63,8 @@ def test_resync_when_the_dominant_column_is_replaced():
     deviation = state_deviation(state)
     assert state_within_bounds(deviation) and deviation[2] <= 1e-13
     np.testing.assert_allclose(state.row_offset[0], 0.0)
-    assert snap["nonlinear_elems"] == (patched_softmax_exps(n, n, 1, 1, 1)
+    # the value column is the changed one: none is read from B
+    assert snap["nonlinear_elems"] == (patched_softmax_exps(n, n, 1, 1, 0)
                                        + n * state.resynced)
 
 
@@ -80,11 +81,28 @@ def test_rescale_when_a_new_score_exceeds_the_offset():
     np.testing.assert_allclose(state.row_sum[0], 1.0 + 15.0 * np.exp(-10.0 / np.sqrt(2.0)))
     deviation = state_deviation(state)
     assert state_within_bounds(deviation) and deviation[2] <= 1e-13
-    assert snap["nonlinear_elems"] == patched_softmax_exps(n, n, 1, 1, 1)
+    assert snap["nonlinear_elems"] == patched_softmax_exps(n, n, 1, 1, 0)
+
+
+def _changed_frame(rng, state, idx, still=()):
+    """Fresh queries and keys at idx, fresh values except at the tokens
+    ``still``, which keep theirs; returns the frame's ledger snapshot."""
+    v_new = rng.normal((idx.size, state.d))
+    keep = np.isin(idx, still)
+    v_new[keep] = state.v_buf.b[idx[keep]]
+    state.ledger.begin_frame()
+    state.step(idx, rng.normal((idx.size, state.d)),
+               rng.normal((idx.size, state.d)), v_new)
+    return state.ledger.end_frame()
 
 
 def test_patched_attention_matches_the_softmax_of_b(monkeypatch):
-    state = _single_head_state()
+    """On a patched frame the value update is handed exactly the softmax of
+    B at the value gate's columns, and only those outside the changed
+    columns are exponentiated anew, whether the value gate's columns are
+    the changed ones (top_r), fewer of them (threshold, a value left as it
+    was) or changed and unchanged ones alike (pool 2 under a budget above
+    the changed cells)."""
     handed = []   # the attention columns the value update is given
     update = attention.av_delta_update
 
@@ -93,12 +111,59 @@ def test_patched_attention_matches_the_softmax_of_b(monkeypatch):
         update(av, attn_now, a_gate, idx, *rest)
 
     monkeypatch.setattr(attention, "av_delta_update", spy)
-    _step_token_zero(state, [0.5, 0.5], [3.0, -1.0])
-    (got, idx), = handed
-    scaled = state.b[0] / np.sqrt(state.dh)
-    e = np.exp(scaled - scaled.max(axis=1, keepdims=True))
-    want = (e / e.sum(axis=1, keepdims=True))[:, idx]
-    np.testing.assert_allclose(got, want, rtol=1e-13)
+    rng = SplitRng(40)
+    cases = []
+    state = _single_head_state()
+    cases.append((state, np.array([0]),
+                  _step_token_zero(state, [0.5, 0.5], [3.0, -1.0])))
+    for n, pool, policy, idx, still in (
+            (16, 1, Policy("threshold", h=0.5), [0, 5, 9], [5]),
+            (64, 2, Policy("top_r", r=3), [0], []),
+            (64, 2, Policy("threshold", h=0.1), [0, 1, 20, 45], [20])):
+        state = AttentionState(n, 4, 1, policy, pool=pool, ledger=CostLedger())
+        state.step(np.arange(n), rng.normal((n, 4)), rng.normal((n, 4)),
+                   rng.normal((n, 4)))
+        idx = np.array(idx)
+        cases.append((state, idx, _changed_frame(rng, state, idx, still)))
+    assert len(handed) == len(cases)
+    for (state, rows, snap), (got, v_idx) in zip(cases, handed):
+        n, n_kv = state.n, state.n_kv
+        cols = attention.pool_index_set(rows, state.grid, state.pool)
+        assert patched_softmax_exps(n, n_kv, rows.size, cols.size,
+                                    v_idx.size) < n * n_kv
+        scaled = state.b[0] / np.sqrt(state.dh)
+        scaled -= state.row_offset[0][:, None]
+        want = np.exp(scaled)[:, v_idx] / state.row_sum[0][:, None]
+        np.testing.assert_array_equal(got, want)
+        outside = np.setdiff1d(v_idx, cols).size
+        assert snap["nonlinear_elems"] == (
+            rows.size * n_kv + (n - rows.size) * (2 * cols.size + 1)
+            + n * outside + n_kv * state.resynced)
+    # the value gate's columns: the changed one; two of three; the changed
+    # cell and two unchanged ones; two of the three changed cells, 0, 6, 10
+    assert [idx.tolist() for _, idx in handed] == [[0], [0, 9], [0, 1, 2], [0, 10]]
+
+
+def test_patch_decision_charges_every_value_column(monkeypatch):
+    """The softmax is taken whole once patching, with every value column
+    charged, would cost at least its N x N_kv exponentials, although the
+    patch reads none of them from B when they are the changed columns."""
+    n, m = 16, 5
+    assert (patched_softmax_exps(n, n, m, m, 0) < n * n
+            <= patched_softmax_exps(n, n, m, m, m))
+    whole = []
+    full_softmax = AttentionState._full_softmax
+    monkeypatch.setattr(AttentionState, "_full_softmax",
+                        lambda self, h: whole.append(h) or full_softmax(self, h))
+    rng = SplitRng(41)
+    state = AttentionState(n, 4, 1, Policy("top_r", r=m), ledger=CostLedger())
+    state.step(np.arange(n), rng.normal((n, 4)), rng.normal((n, 4)),
+               rng.normal((n, 4)))
+    idx = np.array([1, 4, 7, 10, 13])
+    snap = _changed_frame(rng, state, idx)
+    np.testing.assert_array_equal(state.v_gate.last_idx, idx)
+    assert whole == [0, 0]   # the flush, then this frame
+    assert snap["nonlinear_elems"] == n * n
 
 
 def test_long_small_stream_keeps_normalizers_and_full_budget_exact():
