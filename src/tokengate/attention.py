@@ -36,8 +36,10 @@ size.  ``av`` is recomputed as (gate reference A)^T (gate reference V) once
 the value gate picks at least half of the key columns; the attention
 gate's reference is then overwritten at those columns without computing
 changes.  A frame where every gate takes every token thus runs the
-oracle's products on the oracle's operands.  The scale 1 / sqrt(d_head) is applied when the
-softmax is taken, so ``B`` always stores raw products.
+oracle's products on the oracle's operands; the first frame is one, as
+every gate takes every token against a zero reference.  The scale
+1 / sqrt(d_head) is applied when the softmax is taken, so ``B`` always
+stores raw products.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .kernels import (
     IndexSet,
     TokenMatrix,
     as_index_set,
-    full_index_set,
     softmax_rows,
 )
 
@@ -174,11 +175,10 @@ def av_delta_update(av: TokenMatrix, attn_now: TokenMatrix, a_gate: DeltaGate,
     gathered value changes and updated values at idx.  After the call ``av``
     equals (gate reference A) @ (gate reference V) up to float rounding,
     whatever was selected.  The attention changes are counted by ``a_gate``
-    into its own ledger.
+    into its own ledger; a gate that holds no reference yet raises
+    ValueError.
     """
     ledger = ledger or NullLedger()
-    if not a_gate.initialized:
-        raise ValueError("attention-side gate must be flushed before delta updates")
     idx = as_index_set(idx, a_gate.n)
     a_changes = a_gate.forced(attn_now.T, idx)
     if idx.size == 0:
@@ -277,7 +277,6 @@ class AttentionState:
             self.a_gates = [DeltaGate(self.n_kv, n, policy, self.ledger)
                             for _ in range(heads)]
             self.v_gate = DeltaGate(self.n_kv, d, policy, self.ledger)
-        self.flushed = False
         self.resynced = 0
 
     def step(self, idx: IndexSet, q_new: TokenMatrix, k_new: TokenMatrix,
@@ -288,22 +287,8 @@ class AttentionState:
         v = pool_tokens(self.v_buf(idx, v_new), self.grid, self.pool)
         if self.mode == "tokenwise_only":
             return head_merge(_attend_heads(q, k, v, self.heads, self.ledger))
-        if not self.flushed:
-            return self._flush(q, k, v)
         return self._advance(q, k, v, idx,
                              pool_index_set(idx, self.grid, self.pool))
-
-    def _flush(self, q, k_kv, v_kv):
-        qh, kh = head_split(q, self.heads), head_split(k_kv, self.heads)
-        _, u_v, _ = self.v_gate(v_kv)
-        vh = head_split(u_v, self.heads)
-        for h in range(self.heads):
-            self.b[h] = self.ledger.matmul("qk", qh[h], kh[h].T)
-            attn = self._full_softmax(h)
-            self.a_gates[h].forced(attn.T, full_index_set(self.n_kv))
-            self.av[h] = self.ledger.matmul("av", attn, vh[h])
-        self.flushed = True
-        return head_merge(self.av)
 
     def _advance(self, q, k_kv, v_kv, rows, cols):
         n, n_kv = self.n, self.n_kv

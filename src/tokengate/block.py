@@ -80,6 +80,12 @@ class ModelConfig:
 
     def __post_init__(self):
         _check_mode(self.mode, self.pool_p)
+        if self.blocks < 0:
+            raise ValueError(f"blocks must be nonnegative, got {self.blocks}")
+        for name in ("n", "d", "heads", "mlp_ratio", "num_classes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
         if self.d % self.heads:
             raise ValueError("width must divide evenly across heads")
 
@@ -129,7 +135,7 @@ class GatedBlock:
 
     @property
     def flushed(self) -> bool:
-        return self.gate_qkv.initialized
+        return self.gate_qkv.u is not None
 
     def selected_counts(self) -> dict:
         """Tokens processed by each gated operator on the most recent frame."""

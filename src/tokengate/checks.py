@@ -89,7 +89,7 @@ def check_av_invariant(instances: int = 80, seed: int = 1) -> tuple[str, bool, s
         v_gate = DeltaGate(n, dh, policy)
         attn = random_attention(rng, n)
         _, u_v, _ = v_gate(rng.normal((n, dh)))
-        a_gate.forced(attn.T, np.arange(n))
+        a_gate.overwrite(attn.T, np.arange(n))
         av = attn @ u_v
         for _ in range(5):
             policy.r = int(rng.integers(1, n + 2)[0])

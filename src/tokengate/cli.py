@@ -32,7 +32,7 @@ from .archive import export_stream, import_stream
 from .block import ModelConfig
 from .checks import run_all_checks
 from .costs import count_block_baseline, count_block_eventful, memory_report
-from .gates import Policy
+from .gates import Policy, is_budget
 from .harness import (
     measure_walltime,
     run_pair,
@@ -67,13 +67,18 @@ def _reject_unknown_keys(doc):
 
 def load_config(path) -> tuple[ModelConfig, StreamConfig, list[int] | None]:
     """Parse a config document; a missing key takes the default of the
-    config class it feeds.  Unknown keys, and a schedule under a policy
-    without a budget, raise ValueError."""
+    config class it feeds.  Unknown keys, a schedule that is not a list of
+    nonnegative integers, and a schedule under a policy without a budget
+    raise ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
     _reject_unknown_keys(doc)
     policy = Policy(**doc.get("policy", {}))
-    if doc.get("schedule") and policy.kind != "top_r":
+    schedule = doc.get("schedule", [])
+    if not (isinstance(schedule, list) and all(map(is_budget, schedule))):
+        raise ValueError(f"schedule must be a list of nonnegative integers, "
+                         f"got {schedule!r}")
+    if schedule and policy.kind != "top_r":
         raise ValueError(f"a schedule sets budgets, which a {policy.kind} "
                          f"policy does not have")
     model = {_MODEL_FIELDS.get(key, key): value

@@ -7,8 +7,8 @@ recent downstream result for every token and patches in fresh rows as they
 arrive.  Together they let the rest of the pipeline run on the selected
 subset only.
 
-All gate flavors flush on their first call: every token is selected and the
-reference is initialized from the input.
+A gate's first call selects every token against a zero reference, so the
+reference is initialized from the input and the change is the input.
 """
 
 from __future__ import annotations
@@ -26,6 +26,18 @@ from .kernels import (
     row_l2_norms,
 )
 
+
+def is_budget(r) -> bool:
+    """Whether r is a nonnegative integer (a bool is not a budget)."""
+    return (isinstance(r, (int, np.integer)) and not isinstance(r, bool)
+            and r >= 0)
+
+
+def _check_budget(r):
+    if not is_budget(r):
+        raise ValueError(f"budget r must be a nonnegative integer, got {r!r}")
+
+
 @dataclass
 class Policy:
     """Token selection rule: fixed budget ("top_r") or error cutoff ("threshold").
@@ -41,8 +53,7 @@ class Policy:
     def __post_init__(self):
         if self.kind not in ("top_r", "threshold"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "top_r" and self.r < 0:
-            raise ValueError("budget r must be nonnegative")
+        _check_budget(self.r)
         if self.kind == "threshold" and self.h < 0:
             raise ValueError("threshold h must be nonnegative")
 
@@ -51,8 +62,7 @@ class Policy:
         frame on; only a top_r policy has a budget."""
         if self.kind != "top_r":
             raise ValueError(f"a {self.kind} policy has no budget to set")
-        if r < 0:
-            raise ValueError("budget must be nonnegative")
+        _check_budget(r)
         self.r = r
 
     def select(self, norms: np.ndarray) -> IndexSet:
@@ -88,10 +98,11 @@ class Gate:
 
     Selected tokens have their reference overwritten with the current input;
     unselected references are left untouched, so their error keeps
-    accumulating until the policy picks them.  Subclasses change what a call
-    returns (DeltaGate) or how the reference is refreshed (StgtGate); the
-    check, flush and selection are shared, and so is counting the gate's own
-    cost into the ledger.
+    accumulating until the policy picks them.  The first call compares
+    against a zero reference and selects every token.  Subclasses change
+    what a call returns (DeltaGate) or how the reference is refreshed
+    (StgtGate); the check and selection are shared, and so is counting the
+    gate's own cost into the ledger.
     """
 
     def __init__(self, n: int, width: int, policy: Policy,
@@ -103,41 +114,37 @@ class Gate:
         self.u: TokenMatrix | None = None
         self.last_idx: IndexSet | None = None
 
-    @property
-    def initialized(self) -> bool:
-        return self.u is not None
+    def _select(self, c: TokenMatrix) -> tuple[TokenMatrix, IndexSet, TokenMatrix]:
+        """Validate c and pick the tokens to refresh; returns (c, idx, c - u).
 
-    def _select(self, c: TokenMatrix) -> tuple[TokenMatrix, IndexSet, bool]:
-        """Validate c and pick the tokens to refresh; returns (c, idx, flush).
-
-        The first call flushes: every token is selected and the reference
-        becomes a copy of c.  Later calls take idx from the policy applied to
-        the per-token distance between c and the reference, at one
+        The first call takes every token against a zero reference, so the
+        difference is c itself and costs nothing.  Later calls take idx from
+        the policy applied to the per-token norm of the difference, at one
         subtraction and one squared-norm MAC per element.
         """
         c = np.asarray(c, dtype=np.float64)
         if c.shape != (self.n, self.width):
             raise ValueError(f"expected input of shape {(self.n, self.width)}, "
                              f"got {c.shape}")
-        flush = self.u is None
-        if flush:
-            self.u = c.copy()
-            idx = full_index_set(self.n)
+        if self.u is None:
+            self.u = np.zeros((self.n, self.width))
+            diff, idx = c, full_index_set(self.n)
         else:
-            idx = self.policy.select(row_l2_norms(c - self.u))
+            diff = c - self.u
+            idx = self.policy.select(row_l2_norms(diff))
             self.ledger.count_adds(c.size)
             self.ledger.count_macs("gate_overhead", c.size)
         self.last_idx = idx
-        return c, idx, flush
+        return c, idx, diff
 
     def _refresh(self, c: TokenMatrix, idx: IndexSet, picked: TokenMatrix):
         """Reference-update rule: overwrite the selected rows only."""
         self.u[idx] = picked
 
     def __call__(self, c: TokenMatrix) -> tuple[IndexSet, TokenMatrix]:
-        c, idx, flush = self._select(c)
-        if flush:
-            return idx, c.copy()
+        # drop the difference before the gather, which can then reuse its
+        # memory instead of faulting in fresh pages
+        c, idx = self._select(c)[:2]
         picked = c[idx]
         self._refresh(c, idx, picked)
         return idx, picked
@@ -148,25 +155,24 @@ class DeltaGate(Gate):
 
     Returns the full updated reference plus the gathered per-token change
     (current minus previous reference) at the selected indices: exactly the
-    pieces an incremental product update needs.  On flush the previous state
-    is treated as zero, so the reported change equals the input.
+    pieces an incremental product update needs.  The first call's previous
+    reference is zero, so its change equals the input.
     """
 
     def __call__(self, c: TokenMatrix) -> tuple[IndexSet, TokenMatrix, TokenMatrix]:
-        c, idx, flush = self._select(c)
-        if flush:
-            return idx, self.u, c.copy()
-        return idx, self.u, self._update(idx, c[idx])
+        c, idx, diff = self._select(c)
+        self.u[idx] = c[idx]
+        return idx, self.u, diff[idx]
 
     def forced(self, rows: TokenMatrix, idx: IndexSet) -> TokenMatrix:
         """``overwrite`` that also returns the changes, one subtraction per
-        element; on the flush they equal ``rows``."""
+        element; a gate without a reference raises ValueError."""
+        if self.u is None:
+            raise ValueError("a gate needs a reference before forced updates")
         idx = as_index_set(idx, self.n)
         rows = np.asarray(rows, dtype=np.float64)
-        old = None if self.u is None else self.u[idx]
+        old = self.u[idx]
         self.overwrite(rows, idx)
-        if old is None:
-            return rows.copy()
         self.ledger.count_adds(rows.size)
         return np.subtract(rows, old, out=old)
 
@@ -175,7 +181,8 @@ class DeltaGate(Gate):
         to ``rows``, their new values gathered (|idx| x width).  Covering
         every token copies in place, so the reference keeps its layout.
 
-        The first call flushes, so it must cover every token.
+        A gate without a reference takes its first one here, so the call
+        must cover every token.
         """
         idx = as_index_set(idx, self.n)
         rows = np.asarray(rows, dtype=np.float64)
@@ -190,12 +197,6 @@ class DeltaGate(Gate):
             np.copyto(self.u, rows)
         else:
             self.u[idx] = rows
-        self.last_idx = idx
-
-    def _update(self, idx, fresh):
-        changes = fresh - self.u[idx]
-        self.u[idx] = fresh
-        return changes
 
 
 class StgtGate(Gate):

@@ -175,10 +175,13 @@ def measure_walltime(model_cfg: ModelConfig, stream_cfg: StreamConfig,
     reported as "baseline_pooled"; the other variants run unpooled.  Each
     repetition runs one paired pass per gated variant, in alternating
     order, so oracle and gated step are timed side by side on every frame.
-    The flush frame is excluded as warm-up.
+    The flush frame is excluded as warm-up, so the stream needs at least
+    2 frames.
     """
     if repetitions < 3:
         raise ValueError("need at least 3 repetitions")
+    if stream_cfg.frames < 2:
+        raise ValueError("need at least 2 frames: the first is not timed")
     frames = gen_stream(stream_cfg)
     variants = ["full", "tokenwise_only"]
     if model_cfg.mode not in variants:

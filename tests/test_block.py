@@ -245,6 +245,13 @@ class TestModel:
             GatedBlock(make_weights(26), 16, Policy("top_r", r=4), mode=mode,
                        pool_p=pool)
 
+    @pytest.mark.parametrize("field, value", [
+        ("blocks", -1), ("n", 0), ("d", 0), ("heads", 0), ("mlp_ratio", 0),
+        ("num_classes", 0)])
+    def test_empty_or_negative_shape_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            ModelConfig(**{field: value})
+
     def test_frame_shape_validated(self):
         model = Model(ModelConfig(blocks=1, n=8, d=4, heads=2, seed=26))
         with pytest.raises(ValueError):

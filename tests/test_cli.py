@@ -104,6 +104,18 @@ def test_schedule_under_threshold_policy_rejected_before_any_output(tmp_path):
     assert not archive.exists()
 
 
+@pytest.mark.parametrize("schedule", [[4, -1], [4, 2.5], 3, [4, True], None],
+                         ids=["negative", "fraction", "scalar", "bool", "null"])
+def test_bad_schedule_rejected_before_any_output(tmp_path, schedule):
+    doc = dict(CONFIG, schedule=schedule)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    archive = tmp_path / "stream.zip"
+    with pytest.raises(ValueError, match="schedule"):
+        main(["run", "--config", str(path), "--save-stream", str(archive)])
+    assert not archive.exists()
+
+
 def test_run_stream_round_trip(config_path, tmp_path):
     archive = str(tmp_path / "stream.zip")
     out_a = str(tmp_path / "a.json")

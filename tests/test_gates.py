@@ -13,6 +13,22 @@ from tokengate.gates import (
 )
 
 
+class TestPolicy:
+    @pytest.mark.parametrize("r", [2.5, True])
+    def test_budget_must_be_an_integer(self, r):
+        with pytest.raises(ValueError, match="budget"):
+            Policy("top_r", r=r)
+        policy = Policy("top_r", r=4)
+        with pytest.raises(ValueError, match="budget"):
+            policy.set_budget(r)
+        assert policy.r == 4
+
+    def test_numpy_integer_budget_accepted(self):
+        policy = Policy("top_r", r=np.int64(3))
+        policy.set_budget(np.int32(5))
+        assert policy.r == 5
+
+
 class TestTopR:
     def test_hand_case(self):
         np.testing.assert_array_equal(top_r_indices([0.0, 1.0, 2.0, 0.0], 2),
@@ -161,14 +177,21 @@ class TestDeltaGate:
         np.testing.assert_array_equal(gate.u, c0)
         assert changes.shape == (0, 2)
 
-    def test_forced_takes_gathered_rows_and_a_first_call_covers_all(self):
+    def test_forced_needs_a_reference_and_takes_gathered_rows(self):
         gate = DeltaGate(3, 2, Policy("top_r", r=1))
         with pytest.raises(ValueError):
-            gate.forced(np.ones((1, 2)), np.array([1]))
+            gate.forced(np.ones((3, 2)), np.arange(3))
+        assert gate.u is None
+        with pytest.raises(ValueError):
+            gate.overwrite(np.ones((1, 2)), np.array([1]))
+        assert gate.u is None
+        gate.overwrite(np.ones((3, 2)), np.arange(3))
         with pytest.raises(ValueError):
             gate.forced(np.ones((3, 2)), np.array([1]))
-        np.testing.assert_array_equal(gate.forced(np.ones((3, 2)), np.arange(3)),
-                                      np.ones((3, 2)))
+        np.testing.assert_array_equal(gate.u, np.ones((3, 2)))
+        changes = gate.forced(np.full((1, 2), 4.0), np.array([1]))
+        np.testing.assert_array_equal(changes, [[3.0, 3.0]])
+        np.testing.assert_array_equal(gate.u, [[1.0, 1.0], [4.0, 4.0], [1.0, 1.0]])
 
     def test_forced_matches_forward_on_same_indices(self):
         u0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

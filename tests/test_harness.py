@@ -47,12 +47,17 @@ class TestRunPair:
         assert all(match == 1 for match in report.column("argmax_match"))
 
     def test_flush_frame_error_zero(self):
+        # the first frame takes every token whatever the policy, so it runs
+        # the oracle's operations exactly
+        policies = (Policy("top_r", r=2), Policy("top_r", r=0),
+                    Policy("threshold", h=0.3))
         for mode in ("full", "tokenwise_only", "stgt", "spatial_pool"):
             pool = 2 if mode == "spatial_pool" else 1
-            cfg = ModelConfig(blocks=2, n=16, d=8, heads=2, seed=50, mode=mode,
-                              pool_p=pool, policy=Policy("top_r", r=2))
-            report = run_pair(cfg, small_stream())
-            assert report.rows[0]["rel_l2_error"] < 1e-5, mode
+            for policy in policies:
+                cfg = ModelConfig(blocks=2, n=16, d=8, heads=2, seed=50,
+                                  mode=mode, pool_p=pool, policy=policy)
+                report = run_pair(cfg, small_stream())
+                assert report.rows[0]["rel_l2_error"] == 0.0, (mode, policy)
 
     def test_static_stream_stays_exact(self):
         report = run_pair(small_model(r=3), small_stream(mode="static"))
@@ -147,6 +152,12 @@ class TestWalltime:
     def test_minimum_repetitions(self):
         with pytest.raises(ValueError):
             measure_walltime(small_model(), small_stream(), repetitions=2)
+
+    def test_one_frame_stream_rejected(self):
+        # the flush frame is never timed, so one frame leaves nothing to time
+        with pytest.raises(ValueError, match="frames"):
+            measure_walltime(small_model(), small_stream(frames=1),
+                             repetitions=3)
 
     def test_oracle_matches_the_unpooled_variants(self, monkeypatch):
         from tokengate import block
