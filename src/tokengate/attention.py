@@ -376,7 +376,7 @@ class AttentionState:
             self.resynced += stale.size
             new_cols[stale] = self._recompute_rows(h, stale, self.b[h][stale])[:, cols]
         shared = np.isin(v_idx, cols, assume_unique=True)
-        rest = self.b[h][:, v_idx[~shared]]
+        rest = np.take(self.b[h], v_idx[~shared], axis=1)
         rest /= scale
         rest -= offset[:, None]
         self._exp(rest)

@@ -20,7 +20,7 @@ from .attention import (
     qk_sparse_update,
 )
 from .block import Model, ModelConfig
-from .gates import DeltaGate, Policy, threshold_indices, top_r_indices
+from .gates import DeltaGate, Gate, Policy, threshold_indices, top_r_indices
 from .harness import relative_l2, run_pair
 from .rng import SplitRng
 from .streams import StreamConfig, gen_stream
@@ -102,8 +102,12 @@ def check_av_invariant(instances: int = 80, seed: int = 1) -> tuple[str, bool, s
 
 
 def check_policies(vectors: int = 200, seed: int = 2) -> tuple[str, bool, str]:
-    """Both policies against brute-force oracles; half the vectors and their
-    threshold are rounded to 0.1 to provoke ties, budgets run from 0 to n + 2."""
+    """Both policies, and the gates that apply them, against brute-force
+    oracles; half the vectors and their threshold are rounded to 0.1 to
+    provoke ties, budgets run from 0 to n + 2.  A gate's second input is
+    the norms along the first axis, about a quarter of them zero: a
+    ``Gate`` must take the top_r picks among the nonzero norms only, and
+    a ``DeltaGate`` among all of them."""
     rng = SplitRng(seed)
     ok = True
     for _ in range(vectors):
@@ -112,11 +116,21 @@ def check_policies(vectors: int = 200, seed: int = 2) -> tuple[str, bool, str]:
         if int(rng.integers(1, 2)[0]):
             values = np.round(values, 1)
         norms, h = values[:n], float(values[n])
+        norms[rng.integers(n, 4) == 0] = 0.0
         r = int(rng.integers(1, n + 3)[0])
         by_norm = sorted(range(n), key=lambda i: (-norms[i], i))
+        changed = [i for i in by_norm if norms[i] > 0]
+        above = [i for i in range(n) if norms[i] > h]
         ok &= top_r_indices(norms, r).tolist() == sorted(by_norm[:r])
-        ok &= threshold_indices(norms, h).tolist() == [i for i in range(n)
-                                                       if norms[i] > h]
+        ok &= threshold_indices(norms, h).tolist() == above
+        for policy, gate_want, delta_want in (
+                (Policy("top_r", r=r), sorted(changed[:r]), sorted(by_norm[:r])),
+                (Policy("threshold", h=h), above, above)):
+            for cls, want in ((Gate, gate_want), (DeltaGate, delta_want)):
+                gate = cls(n, 2, policy)
+                gate(np.zeros((n, 2)))
+                # sqrt(x * x) == x, so the gate sees exactly these norms
+                ok &= gate(np.stack([norms, np.zeros(n)], axis=1))[0].tolist() == want
     return ("policy_oracle_agreement", bool(ok), f"{vectors} random vectors")
 
 

@@ -151,6 +151,10 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
                          mode: str = "full") -> dict:
     """MACs and adds for one steady-state gated block frame with m tokens selected.
 
+    Every gate is charged exactly m picks.  A token-wise gate takes fewer
+    when fewer than m tokens changed, so on such a frame this is an upper
+    bound on the ledger.
+
     In "full" mode the similarity matrix is patched by row/column scatter
     (2NMD) and the attention-value product by the aligned delta identity
     (2NMD) while 2M < N; from 2M = N on each is one product of the exact

@@ -8,7 +8,12 @@ arrive.  Together they let the rest of the pipeline run on the selected
 subset only.
 
 A gate's first call selects every token against a zero reference, so the
-reference is initialized from the input and the change is the input.
+reference is initialized from the input and the change is the input.  After
+it, a plain ``Gate`` never selects a token whose difference from its
+reference has norm 0, as that token's buffered output was computed from the
+same input: a ``top_r`` gate takes the min(r, changed) tokens of largest
+error.  ``DeltaGate`` and ``StgtGate`` fill their budget with such tokens
+too (see their docstrings).
 """
 
 from __future__ import annotations
@@ -54,8 +59,8 @@ class Policy:
         if self.kind not in ("top_r", "threshold"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
         _check_budget(self.r)
-        if self.kind == "threshold" and self.h < 0:
-            raise ValueError("threshold h must be nonnegative")
+        if self.kind == "threshold" and not self.h >= 0:
+            raise ValueError(f"threshold h must be nonnegative, got {self.h!r}")
 
     def set_budget(self, r: int):
         """Retarget every gate sharing this policy at budget r from the next
@@ -87,8 +92,8 @@ def top_r_indices(norms: np.ndarray, r: int) -> IndexSet:
 
 def threshold_indices(norms: np.ndarray, h: float) -> IndexSet:
     """Ascending indices where the norm strictly exceeds h."""
-    if h < 0:
-        raise ValueError("h must be nonnegative")
+    if not h >= 0:    # a NaN threshold would select nothing, forever
+        raise ValueError(f"h must be nonnegative, got {h!r}")
     norms = np.asarray(norms, dtype=np.float64)
     return np.flatnonzero(norms > h).astype(np.int64)
 
@@ -99,11 +104,19 @@ class Gate:
     Selected tokens have their reference overwritten with the current input;
     unselected references are left untouched, so their error keeps
     accumulating until the policy picks them.  The first call compares
-    against a zero reference and selects every token.  Subclasses change
-    what a call returns (DeltaGate) or how the reference is refreshed
-    (StgtGate); the check and selection are shared, and so is counting the
-    gate's own cost into the ledger.
+    against a zero reference and selects every token.  Later calls select
+    only among the tokens whose difference has a nonzero norm, so a
+    ``top_r`` gate takes min(r, changed) tokens; a norm that underflows to
+    0 leaves its token's error accumulating like any unpicked one.
+    Subclasses change what a call returns (DeltaGate) or how the reference
+    is refreshed (StgtGate), and select from every token; the check and
+    selection are shared, and so is counting the gate's own cost into the
+    ledger.
     """
+
+    # whether a token whose difference has norm 0 is never selected; fixed
+    # per gate class by its reference rule, never set on an instance
+    _skips_unchanged = True
 
     def __init__(self, n: int, width: int, policy: Policy,
                  ledger: CostLedger | None = None):
@@ -120,7 +133,8 @@ class Gate:
         The first call takes every token against a zero reference, so the
         difference is c itself and costs nothing.  Later calls take idx from
         the policy applied to the per-token norm of the difference, at one
-        subtraction and one squared-norm MAC per element.
+        subtraction and one squared-norm MAC per element; a plain Gate then
+        drops the picks of norm 0 (``_skips_unchanged``).
         """
         c = np.asarray(c, dtype=np.float64)
         if c.shape != (self.n, self.width):
@@ -131,7 +145,10 @@ class Gate:
             diff, idx = c, full_index_set(self.n)
         else:
             diff = c - self.u
-            idx = self.policy.select(row_l2_norms(diff))
+            norms = row_l2_norms(diff)
+            idx = self.policy.select(norms)
+            if self._skips_unchanged:
+                idx = idx[norms[idx] > 0]
             self.ledger.count_adds(c.size)
             self.ledger.count_macs("gate_overhead", c.size)
         self.last_idx = idx
@@ -156,8 +173,12 @@ class DeltaGate(Gate):
     Returns the full updated reference plus the gathered per-token change
     (current minus previous reference) at the selected indices: exactly the
     pieces an incremental product update needs.  The first call's previous
-    reference is zero, so its change equals the input.
+    reference is zero, so its change equals the input.  It fills its budget
+    with unchanged tokens too: in attention its picks also choose the
+    attention gate's columns to refresh, and A changes where V did not.
     """
+
+    _skips_unchanged = False
 
     def __call__(self, c: TokenMatrix) -> tuple[IndexSet, TokenMatrix, TokenMatrix]:
         c, idx, diff = self._select(c)
@@ -206,10 +227,14 @@ class StgtGate(Gate):
     reference and then overwrites the whole comparison tensor, so changes on
     unselected tokens are forgotten rather than accumulated.  Under gradual
     drift the per-frame error never grows, and tokens the policy keeps
-    skipping go permanently stale.  Kept as a comparison baseline; the
+    skipping go permanently stale.  A token equal to its previous-frame
+    value may still be stale in the buffer, so this gate fills its budget
+    with such tokens too.  Kept as a comparison baseline; the
     original method's exact internals are not public, so this is a
     reconstruction of its gating logic, not a reimplementation.
     """
+
+    _skips_unchanged = False
 
     def _refresh(self, c, idx, picked):
         self.u = c.copy()

@@ -28,6 +28,14 @@ class TestPolicy:
         policy.set_budget(np.int32(5))
         assert policy.r == 5
 
+    @pytest.mark.parametrize("h", [float("nan"), -0.5])
+    def test_threshold_must_be_a_nonnegative_number(self, h):
+        # norms > nan is always False, so a NaN threshold would select nothing
+        with pytest.raises(ValueError, match="nonnegative"):
+            Policy("threshold", h=h)
+        with pytest.raises(ValueError, match="nonnegative"):
+            threshold_indices([1.0, 2.0], h)
+
 
 class TestTopR:
     def test_hand_case(self):
@@ -70,6 +78,28 @@ class TestGate:
         np.testing.assert_array_equal(picked, c)
         np.testing.assert_array_equal(gate.u, c)
 
+    @pytest.mark.parametrize("cls", [Gate, DeltaGate, StgtGate])
+    def test_first_call_takes_zero_rows_too(self, cls):
+        # the zero rows equal the zero reference, yet the first call takes them
+        gate = cls(3, 2, Policy("top_r", r=1))
+        c = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(gate(c)[0], [0, 1, 2])
+        np.testing.assert_array_equal(gate.u, c)
+
+    # the min(r, 3) largest of three changes, the tie of 1 and 4 by index
+    @pytest.mark.parametrize("r, want", [(1, [3]), (2, [1, 3]), (3, [1, 3, 4]),
+                                         (5, [1, 3, 4])])
+    def test_never_picks_an_unchanged_token(self, r, want):
+        gate = Gate(5, 2, Policy("top_r", r=r))
+        u0 = np.arange(10.0).reshape(5, 2)
+        gate(u0)
+        c = u0.copy()
+        c[[1, 3, 4]] += [[0.0, 1.0], [3.0, 0.0], [0.0, 1.0]]  # norms 1, 3, 1
+        idx, picked = gate(c)
+        np.testing.assert_array_equal(idx, want)
+        np.testing.assert_array_equal(picked, c[idx])
+        np.testing.assert_array_equal(gate.u[[0, 2]], u0[[0, 2]])
+
     def test_worked_example(self):
         gate = Gate(4, 2, Policy("top_r", r=2))
         u0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -82,12 +112,24 @@ class TestGate:
             gate.u, [[0.0, 0.0], [2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
 
     def test_no_change_selects_by_tie_break(self):
-        gate = Gate(3, 2, Policy("top_r", r=1))
+        # only the gates that fill their budget take unchanged tokens, by
+        # index; a plain gate takes none
         c = np.ones((3, 2))
-        gate(c)
-        idx, _ = gate(c)
-        np.testing.assert_array_equal(idx, [0])
-        np.testing.assert_array_equal(gate.u, c)
+        for cls, want in ((Gate, []), (DeltaGate, [0]), (StgtGate, [0])):
+            gate = cls(3, 2, Policy("top_r", r=1))
+            gate(c)
+            np.testing.assert_array_equal(gate(c)[0], want)
+            np.testing.assert_array_equal(gate.u, c)
+
+    # two changed tokens of four; unchanged ones fill the budget by index
+    @pytest.mark.parametrize("r, want", [(0, []), (2, [2, 3]), (3, [0, 2, 3]),
+                                         (6, [0, 1, 2, 3])])
+    @pytest.mark.parametrize("cls", [DeltaGate, StgtGate])
+    def test_budget_filling_gates_take_min_r_n(self, cls, r, want):
+        gate = cls(4, 1, Policy("top_r", r=r))
+        gate(np.zeros((4, 1)))
+        idx = gate(np.array([[0.0], [0.0], [1.0], [2.0]]))[0]
+        np.testing.assert_array_equal(idx, want)
 
     def test_reference_consistency(self):
         rng = np.random.default_rng(2)

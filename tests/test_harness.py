@@ -64,18 +64,26 @@ class TestRunPair:
         assert all(err < 1e-5 for err in report.column("rel_l2_error"))
 
     def test_selected_counts_follow_budget(self):
-        report = run_pair(small_model(r=5, blocks=2), small_stream())
-        for row in report.rows[1:]:
-            assert row["selected_qkv"] == 5 * 2  # summed over blocks
-            assert row["selected_p"] == 5 * 2
-            assert row["selected_mlp"] == 5 * 2
+        # a gate takes min(r, changed) tokens: on a drift stream every token
+        # changes; on the sparse one block 0's qkv gate sees the 4 tokens
+        # redrawn per frame, and attention moves every later gate's input
+        for mode, qkv in (("drift", 5 * 2), ("sparse_change", 4 + 5)):
+            report = run_pair(small_model(r=5, blocks=2), small_stream(mode=mode))
+            for row in report.rows[1:]:
+                assert row["selected_qkv"] == qkv  # summed over blocks
+                assert row["selected_p"] == 5 * 2
+                assert row["selected_mlp"] == 5 * 2
 
     def test_schedule_applies_per_frame(self):
         schedule = [16, 4, 8]
-        report = run_pair(small_model(r=16, blocks=1),
-                          small_stream(frames=5), schedule=schedule)
-        assert report.column("r_effective") == [16, 4, 8, 8, 8]
-        assert report.column("selected_qkv") == [16, 4, 8, 8, 8]
+        for mode, qkv in (("drift", [16, 4, 8, 8, 8]),
+                          ("sparse_change", [16, 4, 4, 4, 4])):
+            report = run_pair(small_model(r=16, blocks=1),
+                              small_stream(frames=5, mode=mode),
+                              schedule=schedule)
+            assert report.column("r_effective") == [16, 4, 8, 8, 8]
+            assert report.column("selected_qkv") == qkv
+            assert report.column("selected_mlp") == [16, 4, 8, 8, 8]
 
     def test_deterministic_reports(self):
         first = run_pair(small_model(), small_stream())
@@ -102,8 +110,11 @@ class TestRunPair:
     def test_savings_reported(self):
         report = run_pair(small_model(r=2), small_stream())
         assert report.savings > 1.0
+        full = run_pair(small_model(r=16), small_stream(mode="drift"))
+        assert full.savings < 1.0  # overlap penalty when every token changes
+        # the sparse stream's unchanged tokens are skipped even at r = N
         full = run_pair(small_model(r=16), small_stream())
-        assert full.savings < 1.0  # overlap penalty at full budget
+        assert full.savings == pytest.approx(1.0756, rel=1e-4)
 
     def test_measured_baseline_macs_match_formula(self):
         from tokengate.costs import count_block_baseline
@@ -123,9 +134,12 @@ class TestSweep:
         assert all(a < b for a, b in zip(macs, macs[1:]))
 
     def test_single_full_budget_row(self):
+        rows = sweep_budget(small_model(), small_stream(mode="drift"), [16])
+        assert rows[0]["mean_rel_l2_error"] < 1e-5
+        assert rows[0]["savings_ratio"] < 1.0  # every token changes
         rows = sweep_budget(small_model(), small_stream(), [16])
         assert rows[0]["mean_rel_l2_error"] < 1e-5
-        assert rows[0]["savings_ratio"] < 1.0
+        assert rows[0]["savings_ratio"] == pytest.approx(1.0756, rel=1e-4)
 
     def test_error_trend_over_seeds(self):
         lows, highs = [], []
