@@ -40,8 +40,8 @@ weights = init_model_weights(ModelConfig(blocks=1, n=n, d=d, heads=heads,
                                          mlp_ratio=ratio, seed=1))
 block = GatedBlock(weights.blocks[0], n, Policy("top_r", r=m), ledger=ledger)
 rng = SplitRng(2)
-for t in range(3):
-    ledger.begin_frame(flush=(t == 0))
+for _ in range(3):
+    ledger.begin_frame()
     block.step(rng.normal((n, d)))
     ledger.end_frame()
 snap = ledger.frames[-1]
@@ -50,7 +50,7 @@ formula = count_block_eventful(n, m, d, heads, ratio)
 formula["nonlinear_elems"] += n * block.attn.resynced
 print(f"\ninstrumented steady-state frame: {snap['macs_total']} MACs, "
       f"closed form {formula['macs_total']} -> "
-      f"{'match' if snap == dict(formula, flush=False) else 'MISMATCH'}"
+      f"{'match' if snap == formula else 'MISMATCH'}"
       f" on all {len(formula)} counts")
 
 # state memory at a large-model scale

@@ -133,10 +133,6 @@ class GatedBlock:
             n, d, weights.attn.heads, policy, mode=attn_mode, pool=pool_p,
             ledger=self.ledger)
 
-    @property
-    def flushed(self) -> bool:
-        return self.gate_qkv.u is not None
-
     def selected_counts(self) -> dict:
         """Tokens processed by each gated operator on the most recent frame."""
         return {
@@ -258,8 +254,7 @@ class Model:
     def step(self, frame: TokenMatrix) -> tuple[TokenMatrix, np.ndarray]:
         """Gated stateful forward pass for the next frame of the stream."""
         tokens = self.embed(frame)    # rejects a bad frame before any state changes
-        flushing = not self.blocks[0].flushed if self.blocks else False
-        self.ledger.begin_frame(flush=flushing)
+        self.ledger.begin_frame()
         for block in self.blocks:
             tokens = block.step(tokens)
         self.ledger.end_frame()

@@ -20,9 +20,8 @@ through layer norm and GELU, plus the exponentials the softmax evaluates
 the recomputed rows, the changed columns and the value gate's columns
 outside them).
 
-Flush frames (where every state tensor is initialized from a full
-computation) are flagged in the per-frame snapshots so steady-state
-comparisons can exclude them.
+A stream's first frame, which fills every state tensor, is counted like
+any other; steady-state totals start after it.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ def cost_record(token_wise: int, qk: int, av: int, gate_overhead: int = 0,
 
 
 class CostLedger:
-    """Accumulates MACs and adds per frame, with per-frame snapshots: cost
-    records plus a ``flush`` flag."""
+    """Accumulates MACs and adds, with one cost record per frame.  A ledger
+    serves one stream, as a ``Model`` does."""
 
     def __init__(self):
         self.macs = dict.fromkeys(MAC_CATEGORIES, 0)
@@ -55,17 +54,15 @@ class CostLedger:
     def _running(self) -> dict:
         return cost_record(*self.macs.values(), self.adds, self.nonlinear_elems)
 
-    def begin_frame(self, flush: bool = False):
+    def begin_frame(self):
         self._frame_start = self._running()
         self._frame_open = True
-        self._frame_flush = flush
 
     def end_frame(self):
         if not self._frame_open:
             raise RuntimeError("end_frame without begin_frame")
         now = self._running()
         snap = {key: now[key] - self._frame_start[key] for key in now}
-        snap["flush"] = self._frame_flush
         self.frames.append(snap)
         self._frame_open = False
         return snap
@@ -85,19 +82,18 @@ class CostLedger:
         self.nonlinear_elems += int(elems)
 
     def steady_state_totals(self) -> dict:
-        """Summed cost record over non-flush frames."""
+        """Summed cost record over every frame after the first."""
         total = cost_record(0, 0, 0)
-        for snap in self.frames:
-            if not snap["flush"]:
-                for key in total:
-                    total[key] += snap[key]
+        for snap in self.frames[1:]:
+            for key in total:
+                total[key] += snap[key]
         return total
 
 
 class NullLedger(CostLedger):
     """Ledger that performs the products but records nothing."""
 
-    def begin_frame(self, flush=False):
+    def begin_frame(self):
         pass
 
     def end_frame(self):
@@ -138,10 +134,17 @@ def patched_softmax_exps(n: int, n_kv: int, rows: int, cols: int,
     return rows * n_kv + patched + n * values
 
 
+def _check_block_shape(n: int, d: int, heads: int):
+    for name, size in (("n", n), ("d", d), ("heads", heads)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
+    if d % heads:
+        raise ValueError("width must divide evenly across heads")
+
+
 def count_block_baseline(n: int, d: int, h: int, mlp_ratio: int = 4) -> dict:
     """MACs for one exact block frame: qkv + similarity + weighting + proj + MLP."""
-    if d % h:
-        raise ValueError("width must divide evenly across heads")
+    _check_block_shape(n, d, h)
     token_wise = 3 * n * d * d + n * d * d + 2 * mlp_ratio * n * d * d
     return cost_record(token_wise, n * n * d, n * n * d,
                        nonlinear=_norm_and_gelu_elems(n, n, d, mlp_ratio) + h * n * n)
@@ -170,10 +173,9 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
     depends on where the selected tokens sit on the grid, so pooled runs are
     costed by instrumentation only.
     """
+    _check_block_shape(n, d, h)
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    if d % h:
-        raise ValueError("width must divide evenly across heads")
     token_wise = 3 * m * d * d + m * d * d + 2 * mlp_ratio * m * d * d
     if mode == "full":
         qk = av = min(2 * n * m * d, n * n * d)

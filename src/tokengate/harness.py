@@ -57,11 +57,6 @@ class RunReport:
     def column(self, name: str) -> list:
         return [row[name] for row in self.rows]
 
-    def comparable_rows(self) -> list[dict]:
-        """Rows with the timing column removed, for determinism checks."""
-        return [{k: v for k, v in row.items() if k != "wall_ms"}
-                for row in self.rows]
-
     def summary(self) -> dict:
         return {
             "frames": len(self.rows),
@@ -83,7 +78,7 @@ def _paired_steps(model: Model, frames, schedule: list[int] | None = None,
     for t, frame in enumerate(frames):
         if schedule:
             model.set_budget(schedule[min(t, len(schedule) - 1)])
-        oracle_ledger.begin_frame(flush=(t == 0))
+        oracle_ledger.begin_frame()
         start = time.perf_counter()
         exact = model.baseline_frame(frame, oracle_ledger)
         exact_ms = (time.perf_counter() - start) * 1e3
@@ -132,8 +127,7 @@ def run_pair(model_cfg: ModelConfig, stream_cfg: StreamConfig,
             "wall_ms": wall_ms,
         })
 
-    steady = [row for row, snap in zip(report.rows, ledger.frames)
-              if not snap["flush"]]
+    steady = report.rows[1:]
     if steady:
         report.mean_rel_l2_error = float(np.mean([r["rel_l2_error"] for r in steady]))
         report.mean_cosine = float(np.mean([r["cosine"] for r in steady]))
@@ -175,8 +169,8 @@ def measure_walltime(model_cfg: ModelConfig, stream_cfg: StreamConfig,
     reported as "baseline_pooled"; the other variants run unpooled.  Each
     repetition runs one paired pass per gated variant, in alternating
     order, so oracle and gated step are timed side by side on every frame.
-    The flush frame is excluded as warm-up, so the stream needs at least
-    2 frames.
+    The first frame sets up the gated state and is not timed, so the
+    stream needs at least 2 frames.
     """
     if repetitions < 3:
         raise ValueError("need at least 3 repetitions")

@@ -14,6 +14,7 @@ whole stream bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,14 @@ class StreamConfig:
             raise ValueError(f"unknown stream mode {self.mode!r}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
-        if self.sigma < 0 or self.eps < 0:
-            raise ValueError("sigma and eps must be nonnegative")
-        if self.frames < 1:
-            raise ValueError("need at least one frame")
+        for name in ("sigma", "eps"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"got {getattr(self, name)}")
+        for name in ("n", "d", "frames"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
 
 
 def gen_stream(cfg: StreamConfig) -> np.ndarray:

@@ -4,8 +4,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from tokengate.costs import NullLedger
+from tokengate.block import GatedBlock, ModelConfig, init_model_weights
+from tokengate.costs import CostLedger, NullLedger
+from tokengate.gates import Policy
 from tokengate.kernels import as_index_set
+from tokengate.rng import SplitRng
+
+
+def run_instrumented_block(n, d, heads, ratio, mode, r, frames=3, seed=40):
+    """Step one gated block over ``frames`` random frames into a fresh
+    ledger: weights from config seed ``seed``, frames from
+    ``SplitRng(seed + 1)``.  Returns (ledger, block)."""
+    cfg = ModelConfig(blocks=1, n=n, d=d, heads=heads, mlp_ratio=ratio,
+                      seed=seed, mode="full")
+    weights = init_model_weights(cfg)
+    ledger = CostLedger()
+    block = GatedBlock(weights.blocks[0], n, Policy("top_r", r=r), mode=mode,
+                       ledger=ledger)
+    rng = SplitRng(seed + 1)
+    for _ in range(frames):
+        ledger.begin_frame()
+        block.step(rng.normal((n, d)))
+        ledger.end_frame()
+    return ledger, block
 
 
 def complement_indices(idx, n: int) -> np.ndarray:

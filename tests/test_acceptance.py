@@ -7,9 +7,9 @@ lines.  Tolerances are fixed here and must not be loosened.
 import time
 
 import numpy as np
-import pytest
 
-from tokengate.block import GatedBlock, Model, ModelConfig, init_model_weights
+from oracles import run_instrumented_block
+from tokengate.block import GatedBlock, ModelConfig, init_model_weights
 from tokengate.checks import (
     check_av_invariant,
     check_policies,
@@ -18,14 +18,12 @@ from tokengate.checks import (
     state_within_bounds,
 )
 from tokengate.costs import (
-    CostLedger,
     count_block_baseline,
     count_block_eventful,
     memory_report,
 )
 from tokengate.gates import Policy
 from tokengate.harness import measure_walltime, run_pair, sweep_budget
-from tokengate.rng import SplitRng
 from tokengate.streams import StreamConfig, gen_stream
 
 
@@ -66,23 +64,14 @@ def test_criterion_04_cost_formula_agreement():
         base = count_block_baseline(n, d, heads, ratio)
         base_products = base["macs_qk"] + base["macs_av"]
         for m in (0, n // 4, n // 2, n):
-            cfg = ModelConfig(blocks=1, n=n, d=d, heads=heads, mlp_ratio=ratio,
-                              seed=4)
-            weights = init_model_weights(cfg)
-            ledger = CostLedger()
-            block = GatedBlock(weights.blocks[0], n, Policy("top_r", r=m),
-                               mode="full", ledger=ledger)
-            stream_rng = SplitRng(5)
-            for t in range(3):
-                ledger.begin_frame(flush=(t == 0))
-                block.step(stream_rng.normal((n, d)))
-                ledger.end_frame()
+            ledger, block = run_instrumented_block(n, d, heads, ratio, "full",
+                                                   m, seed=4)
             formula = count_block_eventful(n, m, d, heads, ratio, "full")
             crossover = ((formula["macs_qk"] + formula["macs_av"] < base_products)
                          == (m < n / 2))
             # rows whose patched softmax sum was resynced pay n exponentials
             formula["nonlinear_elems"] += n * block.attn.resynced
-            if ledger.frames[-1] != dict(formula, flush=False) or not crossover:
+            if ledger.frames[-1] != formula or not crossover:
                 details.append(f"n={n} m={m}")
     report("criterion 4: ledger equals closed form + crossover at N/2",
            not details, "exact match of every count for all (N, M)"

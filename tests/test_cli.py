@@ -70,7 +70,7 @@ def test_run_writes_csv_and_summary(config_path, tmp_path, capsys):
     assert rows[0]["frame"] == "0"
     assert list(rows[0]) == CSV_COLUMNS
     assert CSV_COLUMNS.index("nonlinear_elems") == CSV_COLUMNS.index("adds_overhead") + 1
-    # two blocks: the flush frame pays the exact block's nonlinear work, a
+    # two blocks: the first frame pays the exact block's nonlinear work, a
     # steady frame at least the closed form's (resynced rows pay more)
     exact = count_block_baseline(16, 8, 2)["nonlinear_elems"]
     steady = count_block_eventful(16, 4, 8, 2)["nonlinear_elems"]
@@ -114,6 +114,29 @@ def test_bad_schedule_rejected_before_any_output(tmp_path, schedule):
     with pytest.raises(ValueError, match="schedule"):
         main(["run", "--config", str(path), "--save-stream", str(archive)])
     assert not archive.exists()
+
+
+@pytest.mark.parametrize("stream", [{"mode": "drift", "eps": float("inf")},
+                                    {"sigma": float("nan")}],
+                         ids=["infinite-eps", "nan-sigma"])
+def test_bad_stream_rejected_before_any_output(tmp_path, stream):
+    doc = dict(CONFIG, stream=dict(CONFIG["stream"], **stream))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    archive = tmp_path / "stream.zip"
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        main(["run", "--config", str(path), "--save-stream", str(archive)])
+    assert not archive.exists()
+
+
+@pytest.mark.parametrize("field", ["n", "d", "heads"])
+def test_count_rejects_sizes_below_one(field):
+    sizes = {"n": 4, "d": 8, "heads": 2, field: 0}
+    named = f"{field} must be at least 1"
+    with pytest.raises(ValueError, match=named):
+        main(["count", "--m=0", *(f"--{k}={v}" for k, v in sizes.items())])
+    with pytest.raises(ValueError, match=named):
+        count_block_eventful(sizes["n"], 0, sizes["d"], sizes["heads"])
 
 
 def test_run_stream_round_trip(config_path, tmp_path):

@@ -1,30 +1,14 @@
-import numpy as np
 import pytest
 
-from tokengate.block import GatedBlock, ModelConfig, block_baseline, init_model_weights
+from oracles import run_instrumented_block
+from tokengate.block import ModelConfig, block_baseline, init_model_weights
 from tokengate.costs import (
     CostLedger,
     count_block_baseline,
     count_block_eventful,
     memory_report,
 )
-from tokengate.gates import Policy
 from tokengate.rng import SplitRng
-
-
-def run_instrumented_block(n, d, heads, ratio, mode, r, frames=3, seed=40):
-    cfg = ModelConfig(blocks=1, n=n, d=d, heads=heads, mlp_ratio=ratio,
-                      seed=seed, mode="full")
-    weights = init_model_weights(cfg)
-    ledger = CostLedger()
-    block = GatedBlock(weights.blocks[0], n, Policy("top_r", r=r), mode=mode,
-                       ledger=ledger)
-    rng = SplitRng(seed + 1)
-    for t in range(frames):
-        ledger.begin_frame(flush=(t == 0))
-        block.step(rng.normal((n, d)))
-        ledger.end_frame()
-    return ledger, block
 
 
 class TestBaselineFormula:
@@ -46,7 +30,7 @@ class TestBaselineFormula:
         block_baseline(SplitRng(42).normal((n, d)), weights.blocks[0],
                        ledger=ledger)
         snap = ledger.end_frame()
-        assert snap == dict(count_block_baseline(n, d, heads, ratio), flush=False)
+        assert snap == count_block_baseline(n, d, heads, ratio)
 
     def test_head_divisibility(self):
         with pytest.raises(ValueError):
@@ -109,23 +93,25 @@ class TestInstrumentedAgreement:
         ledger, block = run_instrumented_block(n, d, heads, ratio, "full", m)
         formula = count_block_eventful(n, m, d, heads, ratio, "full")
         formula["nonlinear_elems"] += n * block.attn.resynced
-        assert ledger.frames[-1] == dict(formula, flush=False)
+        assert ledger.frames[-1] == formula
 
     @pytest.mark.parametrize("mode", ["tokenwise_only", "stgt"])
     def test_other_modes_ledger_equals_formula(self, mode):
         n, m, d, heads, ratio = 16, 4, 8, 2, 4
         ledger, _ = run_instrumented_block(n, d, heads, ratio, mode, m)
         formula = count_block_eventful(n, m, d, heads, ratio, mode)
-        assert ledger.frames[-1] == dict(formula, flush=False)
+        assert ledger.frames[-1] == formula
 
     def test_flush_frame_ledgered_separately(self):
-        # the flush pays the exact block's work and no gate overhead
+        # the first frame pays the exact block's work and no gate overhead;
+        # the steady-state totals are every later frame
         for mode in ("full", "tokenwise_only", "stgt"):
             for n, d in ((16, 16), (9, 6), (32, 8)):
                 ledger, _ = run_instrumented_block(n, d, 2, 4, mode, n // 4)
-                assert ledger.frames[0] == dict(count_block_baseline(n, d, 2, 4),
-                                                flush=True)
-                assert not ledger.frames[1]["flush"]
+                assert ledger.frames[0] == count_block_baseline(n, d, 2, 4)
+                steady = ledger.steady_state_totals()
+                assert steady == {key: sum(snap[key] for snap in ledger.frames[1:])
+                                  for key in steady}
 
     def test_ledger_monotone_and_disjoint(self):
         ledger, _ = run_instrumented_block(16, 16, 2, 4, "full", 4, frames=5)

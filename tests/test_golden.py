@@ -2,9 +2,9 @@
 
 Each case is one paired run at fixed seeds.  The fixture holds its
 ``run_pair`` rows without the wall-time column, plus the per-frame
-``CostLedger`` snapshots of the gated model and of the exact oracle.
-Integer and boolean fields must match exactly, float fields to 1e-12
-relative, so a refactor that is meant to keep behaviour proves it here.
+``CostLedger`` cost records of the gated model and of the exact oracle.
+Integer fields must match exactly, float fields to 1e-12 relative, so a
+refactor that is meant to keep behaviour proves it here.
 
 To record the fixture again (only for a deliberate change of behaviour):
 
@@ -50,13 +50,14 @@ CASES["full-drift-threshold"] = _case("full", "drift",
 
 def golden_run(model_cfg, stream_cfg, schedule) -> dict:
     """Rows of ``run_pair`` and the ledger snapshots of both models."""
-    rows = run_pair(model_cfg, stream_cfg, schedule=schedule).comparable_rows()
+    rows = [{key: value for key, value in row.items() if key != "wall_ms"}
+            for row in run_pair(model_cfg, stream_cfg, schedule=schedule).rows]
     gated, oracle = CostLedger(), CostLedger()
     model = Model(model_cfg, ledger=gated)
     for t, frame in enumerate(gen_stream(stream_cfg)):
         if schedule:
             model.set_budget(schedule[min(t, len(schedule) - 1)])
-        oracle.begin_frame(flush=(t == 0))
+        oracle.begin_frame()
         model.baseline_frame(frame, oracle)
         oracle.end_frame()
         model.step(frame)

@@ -162,7 +162,7 @@ def test_patch_decision_charges_every_value_column(monkeypatch):
     idx = np.array([1, 4, 7, 10, 13])
     snap = _changed_frame(rng, state, idx)
     np.testing.assert_array_equal(state.v_gate.last_idx, idx)
-    assert whole == [0, 0]   # the flush, then this frame
+    assert whole == [0, 0]   # the first frame, then this one
     assert snap["nonlinear_elems"] == n * n
 
 
@@ -216,10 +216,9 @@ def test_ledger_is_closed_form_plus_resynced_rows():
             for t in range(4):
                 model.step(rng.normal((n, d)))
                 if t == 0:
-                    want = dict(count_block_baseline(n, d, heads, ratio), flush=True)
+                    want = count_block_baseline(n, d, heads, ratio)
                 else:
-                    want = dict(count_block_eventful(n, m, d, heads, ratio),
-                                flush=False)
+                    want = count_block_eventful(n, m, d, heads, ratio)
                     want["nonlinear_elems"] += n * model.blocks[0].attn.resynced
                 assert ledger.frames[-1] == want
 

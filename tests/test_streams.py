@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,10 @@ def test_config_validation():
         StreamConfig(frames=0)
     with pytest.raises(ValueError):
         StreamConfig(sigma=-1.0)
+    for field in ("sigma", "eps"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=field):
+                StreamConfig(**{field: value})
+    for field in ("n", "d"):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            StreamConfig(**{field: 0})
