@@ -191,7 +191,10 @@ def av_delta_update(av: TokenMatrix, attn_now: TokenMatrix, a_gate: DeltaGate,
 
 
 def _pool_grid(n: int, pool: int) -> int:
-    """Side of the square grid of n tokens that pooling needs; 0 for pool 1."""
+    """Side of the square grid of n tokens that pooling needs; 0 for pool 1.
+
+    Raises ValueError unless n tokens form a square grid whose side the
+    pool factor divides."""
     if pool < 1:
         raise ValueError("pool factor must be at least 1")
     if pool == 1:
@@ -199,6 +202,8 @@ def _pool_grid(n: int, pool: int) -> int:
     side = int(round(np.sqrt(n)))
     if side * side != n:
         raise ValueError(f"{n} tokens do not form a square grid")
+    if side % pool:
+        raise ValueError("pool size must divide the grid side")
     return side
 
 

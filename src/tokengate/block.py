@@ -25,10 +25,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attention import AttentionState, AttentionWeights, _project, msa_baseline
+from .attention import (
+    AttentionState,
+    AttentionWeights,
+    _pool_grid,
+    _project,
+    msa_baseline,
+)
 from .costs import CostLedger, NullLedger
 from .gates import Buffer, Gate, Policy, StgtGate
-from .kernels import TokenMatrix, gelu, layer_norm
+from .kernels import TokenMatrix, check_integer_fields, gelu, layer_norm
 from .rng import SplitRng
 
 MODES = ("full", "tokenwise_only", "stgt", "spatial_pool")
@@ -79,6 +85,8 @@ class ModelConfig:
     num_classes: int = 10
 
     def __post_init__(self):
+        check_integer_fields(self, ("blocks", "n", "d", "heads", "mlp_ratio",
+                                    "pool_p", "seed", "num_classes"))
         _check_mode(self.mode, self.pool_p)
         if self.blocks < 0:
             raise ValueError(f"blocks must be nonnegative, got {self.blocks}")
@@ -88,6 +96,7 @@ class ModelConfig:
                                  f"got {getattr(self, name)}")
         if self.d % self.heads:
             raise ValueError("width must divide evenly across heads")
+        _pool_grid(self.n, self.pool_p)
 
 
 def _mlp_forward(tokens, w, ledger):

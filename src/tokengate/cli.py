@@ -68,8 +68,9 @@ def _reject_unknown_keys(doc):
 def load_config(path) -> tuple[ModelConfig, StreamConfig, list[int] | None]:
     """Parse a config document; a missing key takes the default of the
     config class it feeds.  Unknown keys, a schedule that is not a list of
-    nonnegative integers, and a schedule under a policy without a budget
-    raise ValueError."""
+    nonnegative integers, a schedule under a policy without a budget, and a
+    stream of fewer than 2 frames (every command pairs its runs over the
+    frames after the first) raise ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
     _reject_unknown_keys(doc)
@@ -86,6 +87,9 @@ def load_config(path) -> tuple[ModelConfig, StreamConfig, list[int] | None]:
     model_cfg = ModelConfig(**model, policy=policy)
     stream_cfg = StreamConfig(n=model_cfg.n, d=model_cfg.d,
                               **doc.get("stream", {}))
+    if stream_cfg.frames < 2:
+        raise ValueError(f"a stream needs at least 2 frames, "
+                         f"got {stream_cfg.frames}")
     return model_cfg, stream_cfg, doc.get("schedule")
 
 

@@ -28,14 +28,14 @@ from .kernels import (
     TokenMatrix,
     as_index_set,
     full_index_set,
+    is_integer,
     row_l2_norms,
 )
 
 
 def is_budget(r) -> bool:
     """Whether r is a nonnegative integer (a bool is not a budget)."""
-    return (isinstance(r, (int, np.integer)) and not isinstance(r, bool)
-            and r >= 0)
+    return is_integer(r) and r >= 0
 
 
 def _check_budget(r):
@@ -96,6 +96,29 @@ def threshold_indices(norms: np.ndarray, h: float) -> IndexSet:
         raise ValueError(f"h must be nonnegative, got {h!r}")
     norms = np.asarray(norms, dtype=np.float64)
     return np.flatnonzero(norms > h).astype(np.int64)
+
+
+def _write_rows(store: TokenMatrix | None, n: int, width: int, idx: IndexSet,
+                rows: TokenMatrix) -> TokenMatrix:
+    """The write rule of a per-token store (a gate reference or a buffer):
+    set the tokens idx of the (n x width) store to ``rows`` (|idx| x width)
+    and return the store.  A store that does not exist yet (None) is
+    created by a write that covers every token; a write that covers every
+    token copies in place, so the store keeps its memory."""
+    idx = as_index_set(idx, n)
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.shape != (idx.size, width):
+        raise ValueError(f"expected rows of shape {(idx.size, width)}, "
+                         f"got {rows.shape}")
+    if store is None:
+        if idx.size != n:
+            raise ValueError("a first write must cover every token")
+        return rows.copy()
+    if idx.size == n:
+        np.copyto(store, rows)
+    else:
+        store[idx] = rows
+    return store
 
 
 class Gate:
@@ -199,25 +222,12 @@ class DeltaGate(Gate):
 
     def overwrite(self, rows: TokenMatrix, idx: IndexSet):
         """Skip the policy and set exactly the externally chosen tokens idx
-        to ``rows``, their new values gathered (|idx| x width).  Covering
-        every token copies in place, so the reference keeps its layout.
+        to ``rows``, their new values gathered (|idx| x width).
 
         A gate without a reference takes its first one here, so the call
         must cover every token.
         """
-        idx = as_index_set(idx, self.n)
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.shape != (idx.size, self.width):
-            raise ValueError(f"expected rows of shape {(idx.size, self.width)}, "
-                             f"got {rows.shape}")
-        if self.u is None:
-            if idx.size != self.n:
-                raise ValueError("a first forced update must cover every token")
-            self.u = rows.copy()
-        elif idx.size == self.n:
-            np.copyto(self.u, rows)
-        else:
-            self.u[idx] = rows
+        self.u = _write_rows(self.u, self.n, self.width, idx, rows)
 
 
 class StgtGate(Gate):
@@ -249,15 +259,5 @@ class Buffer:
         self.b: TokenMatrix | None = None
 
     def __call__(self, idx: IndexSet, tokens: TokenMatrix) -> TokenMatrix:
-        tokens = np.asarray(tokens, dtype=np.float64)
-        idx = as_index_set(idx, self.n)
-        if tokens.shape != (idx.size, self.width):
-            raise ValueError(f"expected {(idx.size, self.width)} tokens, "
-                             f"got {tokens.shape}")
-        if self.b is None:
-            if idx.size != self.n:
-                raise ValueError("first write must cover all tokens")
-            self.b = tokens.copy()
-        else:
-            self.b[idx] = tokens
+        self.b = _write_rows(self.b, self.n, self.width, idx, tokens)
         return self.b

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ CSV_COLUMNS = [
     "macs_total", "macs_qk", "macs_av", "macs_tokenwise", "adds_overhead",
     "nonlinear_elems", "rel_l2_error", "cosine", "argmax_match", "wall_ms",
 ]
+SWEEP_COLUMNS = ["r", "mean_rel_l2_error", "steady_macs_total", "savings_ratio"]
 
 
 def relative_l2(approx: np.ndarray, exact: np.ndarray) -> float:
@@ -44,28 +45,28 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass
 class RunReport:
-    """Per-frame rows plus aggregates for one paired run."""
+    """One paired run: its per-frame rows and the cost ledgers of the gated
+    model and of the exact oracle.  The summary derives from these three;
+    it covers the frames after the first."""
 
-    rows: list[dict] = field(default_factory=list)
-    mean_rel_l2_error: float = 0.0
-    mean_cosine: float = 0.0
-    argmax_agreement: float = 0.0
-    steady_macs_total: int = 0
-    baseline_macs_total: int = 0
-    savings: float = 0.0
+    rows: list[dict]
+    gated_ledger: CostLedger
+    oracle_ledger: CostLedger
 
     def column(self, name: str) -> list:
         return [row[name] for row in self.rows]
 
     def summary(self) -> dict:
+        gated = self.gated_ledger.steady_state_totals()["macs_total"]
+        oracle = self.oracle_ledger.steady_state_totals()["macs_total"]
         return {
             "frames": len(self.rows),
-            "mean_rel_l2_error": self.mean_rel_l2_error,
-            "mean_cosine": self.mean_cosine,
-            "argmax_agreement": self.argmax_agreement,
-            "steady_macs_total": self.steady_macs_total,
-            "baseline_macs_total": self.baseline_macs_total,
-            "savings_ratio": self.savings,
+            "mean_rel_l2_error": float(np.mean(self.column("rel_l2_error")[1:])),
+            "mean_cosine": float(np.mean(self.column("cosine")[1:])),
+            "argmax_agreement": float(np.mean(self.column("argmax_match")[1:])),
+            "steady_macs_total": gated,
+            "baseline_macs_total": oracle,
+            "savings_ratio": oracle / gated if gated and oracle else 0.0,
         }
 
 
@@ -98,19 +99,21 @@ def run_pair(model_cfg: ModelConfig, stream_cfg: StreamConfig,
     its last value for the remaining frames.  A schedule needs a ``top_r``
     policy: under a threshold policy it raises ValueError.  Precomputed
     ``frames`` override the stream config's generator (fixture import).
+    The summary covers the frames after the first, so a stream of fewer
+    than 2 frames raises ValueError.
     """
     if frames is None:
         frames = gen_stream(stream_cfg)
+    if len(frames) < 2:
+        raise ValueError("need at least 2 frames: the summary covers the "
+                         "frames after the first")
     if frames.shape[1:] != (model_cfg.n, model_cfg.d):
         raise ValueError("stream and model disagree on token shape")
-    ledger = CostLedger()
-    model = Model(model_cfg, ledger=ledger)
-    baseline_ledger = CostLedger()
-
-    report = RunReport()
-    paired = _paired_steps(model, frames, schedule, baseline_ledger)
+    report = RunReport([], CostLedger(), CostLedger())
+    model = Model(model_cfg, ledger=report.gated_ledger)
+    paired = _paired_steps(model, frames, schedule, report.oracle_ledger)
     for t, (exact_tokens, exact_scores), _, (tokens, scores), wall_ms in paired:
-        snap = ledger.frames[-1]
+        snap = report.gated_ledger.frames[-1]
         report.rows.append({
             "frame": t,
             "r_effective": model.policy.r if model.policy.kind == "top_r" else -1,
@@ -126,35 +129,20 @@ def run_pair(model_cfg: ModelConfig, stream_cfg: StreamConfig,
             "argmax_match": int(np.argmax(scores) == np.argmax(exact_scores)),
             "wall_ms": wall_ms,
         })
-
-    steady = report.rows[1:]
-    if steady:
-        report.mean_rel_l2_error = float(np.mean([r["rel_l2_error"] for r in steady]))
-        report.mean_cosine = float(np.mean([r["cosine"] for r in steady]))
-        report.argmax_agreement = float(np.mean([r["argmax_match"] for r in steady]))
-    report.steady_macs_total = ledger.steady_state_totals()["macs_total"]
-    # measured over the same frames the gated steady-state totals cover
-    report.baseline_macs_total = baseline_ledger.steady_state_totals()["macs_total"]
-    if report.steady_macs_total and report.baseline_macs_total:
-        report.savings = report.baseline_macs_total / report.steady_macs_total
     return report
 
 
 def sweep_budget(model_cfg: ModelConfig, stream_cfg: StreamConfig,
                  r_values: list[int]) -> list[dict]:
-    """One fresh paired run per budget; rows sorted by budget."""
+    """One fresh paired run per budget; rows sorted by budget, each the
+    budget and three numbers of its run's summary (``SWEEP_COLUMNS``)."""
     if not r_values:
         raise ValueError("need at least one budget value")
     rows = []
     for r in sorted(r_values):
-        report = run_pair(replace(model_cfg, policy=Policy("top_r", r=r)),
-                          stream_cfg)
-        rows.append({
-            "r": r,
-            "mean_rel_l2_error": report.mean_rel_l2_error,
-            "steady_macs_total": report.steady_macs_total,
-            "savings_ratio": report.savings,
-        })
+        summary = run_pair(replace(model_cfg, policy=Policy("top_r", r=r)),
+                           stream_cfg).summary()
+        rows.append({"r": r, **{key: summary[key] for key in SWEEP_COLUMNS[1:]}})
     return rows
 
 
@@ -206,9 +194,7 @@ def write_run_csv(report: RunReport, path) -> None:
 
 def write_sweep_csv(rows: list[dict], path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["r", "mean_rel_l2_error", "steady_macs_total",
-                            "savings_ratio"])
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

@@ -3,7 +3,8 @@
 Token matrices are plain float64 ndarrays of shape (tokens, width), row per
 token.  Sparsity is always expressed as a sorted index array plus
 gather/scatter against dense storage; there are no sparse matrix formats
-anywhere in the library.
+anywhere in the library.  ``is_integer`` is the one integer check that
+budgets and config fields share.
 """
 
 from __future__ import annotations
@@ -15,6 +16,20 @@ TokenMatrix = np.ndarray
 IndexSet = np.ndarray
 
 _SQRT2 = np.sqrt(2.0)
+
+
+def is_integer(x) -> bool:
+    """Whether x is a Python or NumPy integer (a bool is not one)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_integer_fields(obj, names):
+    """Raise ValueError naming the first attribute in ``names`` of obj that
+    does not hold an integer."""
+    for name in names:
+        if not is_integer(getattr(obj, name)):
+            raise ValueError(f"{name} must be an integer, "
+                             f"got {getattr(obj, name)!r}")
 
 
 def as_index_set(indices, n: int) -> IndexSet:

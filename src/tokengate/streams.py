@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import check_integer_fields
 from .rng import SplitRng
 
 STREAM_MODES = ("static", "sparse_change", "drift", "mixed")
@@ -36,6 +37,7 @@ class StreamConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer_fields(self, ("n", "d", "frames", "seed"))
         if self.mode not in STREAM_MODES:
             raise ValueError(f"unknown stream mode {self.mode!r}")
         if not 0.0 <= self.rho <= 1.0:

@@ -102,7 +102,7 @@ def test_criterion_07_tradeoff_monotonicity():
                               policy=Policy("top_r", r=r))
             stream = StreamConfig(n=16, d=8, frames=20, mode="sparse_change",
                                   rho=0.1, sigma=1.0, seed=200 + seed)
-            errors.append(run_pair(cfg, stream).mean_rel_l2_error)
+            errors.append(run_pair(cfg, stream).summary()["mean_rel_l2_error"])
         means[r] = float(np.mean(errors))
     rows = sweep_budget(
         ModelConfig(blocks=2, n=16, d=8, heads=2, seed=7),

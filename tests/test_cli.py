@@ -116,15 +116,37 @@ def test_bad_schedule_rejected_before_any_output(tmp_path, schedule):
     assert not archive.exists()
 
 
-@pytest.mark.parametrize("stream", [{"mode": "drift", "eps": float("inf")},
-                                    {"sigma": float("nan")}],
-                         ids=["infinite-eps", "nan-sigma"])
-def test_bad_stream_rejected_before_any_output(tmp_path, stream):
+@pytest.mark.parametrize("stream, match", [
+    ({"mode": "drift", "eps": float("inf")}, "finite and nonnegative"),
+    ({"sigma": float("nan")}, "finite and nonnegative"),
+    ({"frames": 1}, "at least 2 frames"),
+    ({"frames": 2.5}, "frames must be an integer"),
+], ids=["infinite-eps", "nan-sigma", "one-frame", "fractional-frames"])
+def test_bad_stream_rejected_before_any_output(tmp_path, stream, match):
     doc = dict(CONFIG, stream=dict(CONFIG["stream"], **stream))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     archive = tmp_path / "stream.zip"
-    with pytest.raises(ValueError, match="finite and nonnegative"):
+    with pytest.raises(ValueError, match=match):
+        main(["run", "--config", str(path), "--save-stream", str(archive)])
+    assert not archive.exists()
+
+
+@pytest.mark.parametrize("model, match", [
+    ({"H": 2.0}, "heads must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"blocks": True}, "blocks must be an integer"),
+    ({"mode": "spatial_pool", "pool_p": 2.5}, "pool_p must be an integer"),
+    ({"mode": "spatial_pool", "N": 15, "pool_p": 2}, "square grid"),
+    ({"mode": "spatial_pool", "N": 16, "pool_p": 3}, "divide the grid side"),
+], ids=["float-heads", "float-seed", "bool-blocks", "float-pool",
+        "no-square-grid", "pool-not-dividing-grid"])
+def test_bad_model_rejected_before_any_output(tmp_path, model, match):
+    doc = dict(CONFIG, model=dict(CONFIG["model"], **model))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    archive = tmp_path / "stream.zip"
+    with pytest.raises(ValueError, match=match):
         main(["run", "--config", str(path), "--save-stream", str(archive)])
     assert not archive.exists()
 

@@ -20,11 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from tokengate.block import MODES, Model, ModelConfig
-from tokengate.costs import CostLedger
+from tokengate.block import MODES, ModelConfig
 from tokengate.gates import Policy
 from tokengate.harness import run_pair
-from tokengate.streams import StreamConfig, gen_stream
+from tokengate.streams import StreamConfig
 
 FIXTURE = Path(__file__).with_name("golden_runs.json")
 REL_TOL = 1e-12
@@ -50,19 +49,11 @@ CASES["full-drift-threshold"] = _case("full", "drift",
 
 def golden_run(model_cfg, stream_cfg, schedule) -> dict:
     """Rows of ``run_pair`` and the ledger snapshots of both models."""
+    report = run_pair(model_cfg, stream_cfg, schedule=schedule)
     rows = [{key: value for key, value in row.items() if key != "wall_ms"}
-            for row in run_pair(model_cfg, stream_cfg, schedule=schedule).rows]
-    gated, oracle = CostLedger(), CostLedger()
-    model = Model(model_cfg, ledger=gated)
-    for t, frame in enumerate(gen_stream(stream_cfg)):
-        if schedule:
-            model.set_budget(schedule[min(t, len(schedule) - 1)])
-        oracle.begin_frame()
-        model.baseline_frame(frame, oracle)
-        oracle.end_frame()
-        model.step(frame)
-    return {"rows": rows, "gated_ledger": gated.frames,
-            "oracle_ledger": oracle.frames}
+            for row in report.rows]
+    return {"rows": rows, "gated_ledger": report.gated_ledger.frames,
+            "oracle_ledger": report.oracle_ledger.frames}
 
 
 def _mismatches(got, want, where=""):

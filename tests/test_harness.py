@@ -16,7 +16,7 @@ from tokengate.harness import (
     write_summary_json,
     write_sweep_csv,
 )
-from tokengate.streams import StreamConfig
+from tokengate.streams import StreamConfig, gen_stream
 
 
 def small_model(r=4, mode="full", seed=50, blocks=2):
@@ -109,14 +109,26 @@ class TestRunPair:
         with pytest.raises(ValueError):
             run_pair(small_model(), StreamConfig(n=8, d=8, frames=2))
 
+    def test_one_frame_stream_rejected(self):
+        # the summary covers the frames after the first; one frame leaves
+        # nothing to summarize
+        one = small_stream(frames=1)
+        with pytest.raises(ValueError, match="2 frames"):
+            run_pair(small_model(), one)
+        with pytest.raises(ValueError, match="2 frames"):
+            run_pair(small_model(), small_stream(), frames=gen_stream(one))
+        with pytest.raises(ValueError, match="2 frames"):
+            sweep_budget(small_model(), one, [4])
+
     def test_savings_reported(self):
         report = run_pair(small_model(r=2), small_stream())
-        assert report.savings > 1.0
+        assert report.summary()["savings_ratio"] > 1.0
         full = run_pair(small_model(r=16), small_stream(mode="drift"))
-        assert full.savings < 1.0  # overlap penalty when every token changes
+        # overlap penalty when every token changes
+        assert full.summary()["savings_ratio"] < 1.0
         # the sparse stream's unchanged tokens are skipped even at r = N
         full = run_pair(small_model(r=16), small_stream())
-        assert full.savings == pytest.approx(1.0756, rel=1e-4)
+        assert full.summary()["savings_ratio"] == pytest.approx(1.0756, rel=1e-4)
 
     def test_measured_baseline_macs_match_formula(self):
         from tokengate.costs import count_block_baseline
@@ -125,7 +137,8 @@ class TestRunPair:
         report = run_pair(cfg, small_stream(frames=6))
         per_frame = count_block_baseline(cfg.n, cfg.d, cfg.heads,
                                          cfg.mlp_ratio)["macs_total"] * cfg.blocks
-        assert report.baseline_macs_total == per_frame * 5  # all but the first
+        # all but the first frame
+        assert report.summary()["baseline_macs_total"] == per_frame * 5
 
 
 class TestSweep:

@@ -83,3 +83,7 @@ def test_config_validation():
     for field in ("n", "d"):
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
             StreamConfig(**{field: 0})
+    for field in ("n", "d", "frames", "seed"):
+        for value in (2.0, True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                StreamConfig(**{field: value})
