@@ -18,9 +18,9 @@ gate = Gate(n, width, Policy("top_r", r=1))
 buf = Buffer(n, width)
 
 base = np.arange(n * width, dtype=float).reshape(n, width)
-idx, picked = gate(base)                       # first frame flushes everything
+idx, picked = gate(base)                       # first call: every token vs zero
 buf(idx, picked * 10)                          # pretend downstream op: x10
-print(f"frame 1 (flush): selected {idx.tolist()}")
+print(f"frame 1 (first call): selected {idx.tolist()}")
 
 for t in range(1, 9):
     frame = base + t * drift

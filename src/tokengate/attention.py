@@ -175,8 +175,7 @@ def av_delta_update(av: TokenMatrix, attn_now: TokenMatrix, a_gate: DeltaGate,
     gathered value changes and updated values at idx.  After the call ``av``
     equals (gate reference A) @ (gate reference V) up to float rounding,
     whatever was selected.  The attention changes are counted by ``a_gate``
-    into its own ledger; a gate that holds no reference yet raises
-    ValueError.
+    into its own ledger.
     """
     ledger = ledger or NullLedger()
     idx = as_index_set(idx, a_gate.n)

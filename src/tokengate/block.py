@@ -127,8 +127,6 @@ class GatedBlock:
         _check_mode(mode, pool_p)
         d = weights.width
         self.w = weights
-        self.n = n
-        self.mode = mode
         self.policy = policy
         self.ledger = ledger or NullLedger()
         gate_cls = StgtGate if mode == "stgt" else Gate

@@ -7,13 +7,14 @@ recent downstream result for every token and patches in fresh rows as they
 arrive.  Together they let the rest of the pipeline run on the selected
 subset only.
 
-A gate's first call selects every token against a zero reference, so the
-reference is initialized from the input and the change is the input.  After
-it, a plain ``Gate`` never selects a token whose difference from its
-reference has norm 0, as that token's buffered output was computed from the
-same input: a ``top_r`` gate takes the min(r, changed) tokens of largest
-error.  ``DeltaGate`` and ``StgtGate`` fill their budget with such tokens
-too (see their docstrings).
+Every gate and buffer holds an (n x width) zero store from construction,
+and ``_write_rows`` is the one rule that writes its rows.  A gate's first
+call selects every token against the zero reference, so the reference takes
+the input and the change is the input.  After it, a plain ``Gate`` never
+selects a token whose difference from its reference has norm 0, as that
+token's buffered output was computed from the same input: a ``top_r`` gate
+takes the min(r, changed) tokens of largest error.  ``DeltaGate`` and
+``StgtGate`` fill their budget with such tokens too (see their docstrings).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .kernels import (
     as_index_set,
     full_index_set,
     is_integer,
+    is_real,
     row_l2_norms,
 )
 
@@ -59,8 +61,8 @@ class Policy:
         if self.kind not in ("top_r", "threshold"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
         _check_budget(self.r)
-        if self.kind == "threshold" and not self.h >= 0:
-            raise ValueError(f"threshold h must be nonnegative, got {self.h!r}")
+        if not (is_real(self.h) and self.h >= 0):
+            raise ValueError(f"h must be a nonnegative number, got {self.h!r}")
 
     def set_budget(self, r: int):
         """Retarget every gate sharing this policy at budget r from the next
@@ -98,27 +100,20 @@ def threshold_indices(norms: np.ndarray, h: float) -> IndexSet:
     return np.flatnonzero(norms > h).astype(np.int64)
 
 
-def _write_rows(store: TokenMatrix | None, n: int, width: int, idx: IndexSet,
-                rows: TokenMatrix) -> TokenMatrix:
+def _write_rows(store: TokenMatrix, idx: IndexSet, rows: TokenMatrix):
     """The write rule of a per-token store (a gate reference or a buffer):
-    set the tokens idx of the (n x width) store to ``rows`` (|idx| x width)
-    and return the store.  A store that does not exist yet (None) is
-    created by a write that covers every token; a write that covers every
-    token copies in place, so the store keeps its memory."""
+    set the tokens idx of the (n x width) store to ``rows`` (|idx| x width),
+    in place, so the store keeps its memory."""
+    n, width = store.shape
     idx = as_index_set(idx, n)
     rows = np.asarray(rows, dtype=np.float64)
     if rows.shape != (idx.size, width):
         raise ValueError(f"expected rows of shape {(idx.size, width)}, "
                          f"got {rows.shape}")
-    if store is None:
-        if idx.size != n:
-            raise ValueError("a first write must cover every token")
-        return rows.copy()
     if idx.size == n:
         np.copyto(store, rows)
     else:
         store[idx] = rows
-    return store
 
 
 class Gate:
@@ -144,10 +139,9 @@ class Gate:
     def __init__(self, n: int, width: int, policy: Policy,
                  ledger: CostLedger | None = None):
         self.n = n
-        self.width = width
         self.policy = policy
         self.ledger = ledger or NullLedger()
-        self.u: TokenMatrix | None = None
+        self.u = np.zeros((n, width))
         self.last_idx: IndexSet | None = None
 
     def _select(self, c: TokenMatrix) -> tuple[TokenMatrix, IndexSet, TokenMatrix]:
@@ -160,11 +154,10 @@ class Gate:
         drops the picks of norm 0 (``_skips_unchanged``).
         """
         c = np.asarray(c, dtype=np.float64)
-        if c.shape != (self.n, self.width):
-            raise ValueError(f"expected input of shape {(self.n, self.width)}, "
+        if c.shape != self.u.shape:
+            raise ValueError(f"expected input of shape {self.u.shape}, "
                              f"got {c.shape}")
-        if self.u is None:
-            self.u = np.zeros((self.n, self.width))
+        if self.last_idx is None:
             diff, idx = c, full_index_set(self.n)
         else:
             diff = c - self.u
@@ -179,7 +172,7 @@ class Gate:
 
     def _refresh(self, c: TokenMatrix, idx: IndexSet, picked: TokenMatrix):
         """Reference-update rule: overwrite the selected rows only."""
-        self.u[idx] = picked
+        _write_rows(self.u, idx, picked)
 
     def __call__(self, c: TokenMatrix) -> tuple[IndexSet, TokenMatrix]:
         # drop the difference before the gather, which can then reuse its
@@ -205,14 +198,12 @@ class DeltaGate(Gate):
 
     def __call__(self, c: TokenMatrix) -> tuple[IndexSet, TokenMatrix, TokenMatrix]:
         c, idx, diff = self._select(c)
-        self.u[idx] = c[idx]
+        self.overwrite(c[idx], idx)
         return idx, self.u, diff[idx]
 
     def forced(self, rows: TokenMatrix, idx: IndexSet) -> TokenMatrix:
         """``overwrite`` that also returns the changes, one subtraction per
-        element; a gate without a reference raises ValueError."""
-        if self.u is None:
-            raise ValueError("a gate needs a reference before forced updates")
+        element."""
         idx = as_index_set(idx, self.n)
         rows = np.asarray(rows, dtype=np.float64)
         old = self.u[idx]
@@ -222,12 +213,8 @@ class DeltaGate(Gate):
 
     def overwrite(self, rows: TokenMatrix, idx: IndexSet):
         """Skip the policy and set exactly the externally chosen tokens idx
-        to ``rows``, their new values gathered (|idx| x width).
-
-        A gate without a reference takes its first one here, so the call
-        must cover every token.
-        """
-        self.u = _write_rows(self.u, self.n, self.width, idx, rows)
+        to ``rows``, their new values gathered (|idx| x width)."""
+        _write_rows(self.u, idx, rows)
 
 
 class StgtGate(Gate):
@@ -247,17 +234,15 @@ class StgtGate(Gate):
     _skips_unchanged = False
 
     def _refresh(self, c, idx, picked):
-        self.u = c.copy()
+        _write_rows(self.u, full_index_set(self.n), c)
 
 
 class Buffer:
     """Dense holder of the most recent known value of every token."""
 
     def __init__(self, n: int, width: int):
-        self.n = n
-        self.width = width
-        self.b: TokenMatrix | None = None
+        self.b = np.zeros((n, width))
 
     def __call__(self, idx: IndexSet, tokens: TokenMatrix) -> TokenMatrix:
-        self.b = _write_rows(self.b, self.n, self.width, idx, tokens)
+        _write_rows(self.b, idx, tokens)
         return self.b

@@ -3,8 +3,8 @@
 Token matrices are plain float64 ndarrays of shape (tokens, width), row per
 token.  Sparsity is always expressed as a sorted index array plus
 gather/scatter against dense storage; there are no sparse matrix formats
-anywhere in the library.  ``is_integer`` is the one integer check that
-budgets and config fields share.
+anywhere in the library.  ``is_integer`` and ``is_real`` are the one
+integer and one number check that budgets and config fields share.
 """
 
 from __future__ import annotations
@@ -23,6 +23,11 @@ def is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def is_real(x) -> bool:
+    """Whether x is a Python or NumPy integer or float (a bool is not one)."""
+    return is_integer(x) or isinstance(x, (float, np.floating))
+
+
 def check_integer_fields(obj, names):
     """Raise ValueError naming the first attribute in ``names`` of obj that
     does not hold an integer."""
@@ -38,7 +43,7 @@ def as_index_set(indices, n: int) -> IndexSet:
     if idx.size:
         if idx[0] < 0 or idx[-1] >= n:
             raise IndexError(f"index out of range for {n} tokens")
-        if np.any(np.diff(idx) <= 0):
+        if (idx[1:] <= idx[:-1]).any():
             raise ValueError("indices must be strictly increasing")
     return idx
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import check_integer_fields
+from .kernels import check_integer_fields, is_real
 from .rng import SplitRng
 
 STREAM_MODES = ("static", "sparse_change", "drift", "mixed")
@@ -40,6 +40,10 @@ class StreamConfig:
         check_integer_fields(self, ("n", "d", "frames", "seed"))
         if self.mode not in STREAM_MODES:
             raise ValueError(f"unknown stream mode {self.mode!r}")
+        for name in ("rho", "sigma", "eps"):
+            if not is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, "
+                                 f"got {getattr(self, name)!r}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
         for name in ("sigma", "eps"):

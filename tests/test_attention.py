@@ -251,11 +251,20 @@ class TestAvDeltaUpdate:
         av_delta_update(av, attn_now[:, idx], a_gate, idx, v_changes, u_v[idx])
         np.testing.assert_allclose(av, [[3.0, 3.6], [5.0, 6.4]], atol=1e-12)
 
-    def test_unflushed_gate_rejected(self):
-        cold = DeltaGate(3, 3, Policy("top_r", r=1))
-        with pytest.raises(ValueError):
-            av_delta_update(np.zeros((3, 2)), np.eye(3)[:, :1], cold,
-                            np.array([0]), np.zeros((1, 2)), np.zeros((1, 2)))
+    def test_fresh_gates_hold_the_invariant(self):
+        # zero references: av = 0 = A_ref^T V_ref before any write, and
+        # updates at a partial and then at every column keep it
+        rng = SplitRng(14)
+        policy = Policy("top_r", r=3)
+        a_gate, v_gate = DeltaGate(3, 3, policy), DeltaGate(3, 2, policy)
+        av = np.zeros((3, 2))
+        np.testing.assert_array_equal(av, a_gate.u.T @ v_gate.u)
+        for idx in (np.array([1]), np.arange(3)):
+            attn = random_attention(rng, 3)
+            v_changes = v_gate.forced(rng.normal((idx.size, 2)), idx)
+            av_delta_update(av, attn[:, idx], a_gate, idx, v_changes,
+                            v_gate.u[idx])
+            np.testing.assert_allclose(av, a_gate.u.T @ v_gate.u, atol=1e-12)
 
     def test_empty_selection_unchanged(self):
         rng = SplitRng(12)

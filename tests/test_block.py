@@ -140,7 +140,7 @@ class TestGatedBlock:
         np.testing.assert_allclose(out3 - stream[2], out2 - stream[1],
                                    atol=1e-12)
 
-    def test_schedule_flush_throttle_flush(self):
+    def test_schedule_full_throttle_full(self):
         # the qkv gate takes min(r, changed) after the first frame: r = 2 of
         # the 4 redrawn tokens, then at r = N every token whose normalized
         # input differs from its reference; the MLP gate sees every token change
@@ -149,8 +149,8 @@ class TestGatedBlock:
         block = GatedBlock(w, n, Policy("top_r", r=n))
         stream = self._stream(14, frames=3)
         counts, changed = [], [n]
-        for frame, r in zip(stream, [n, 2, n]):
-            if block.gate_qkv.u is not None:
+        for t, (frame, r) in enumerate(zip(stream, [n, 2, n])):
+            if t > 0:
                 xn = layer_norm(frame, w.ln1_gamma, w.ln1_beta)
                 changed.append(int((xn != block.gate_qkv.u).any(axis=1).sum()))
             block.policy.set_budget(r)

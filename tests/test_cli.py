@@ -121,13 +121,30 @@ def test_bad_schedule_rejected_before_any_output(tmp_path, schedule):
     ({"sigma": float("nan")}, "finite and nonnegative"),
     ({"frames": 1}, "at least 2 frames"),
     ({"frames": 2.5}, "frames must be an integer"),
-], ids=["infinite-eps", "nan-sigma", "one-frame", "fractional-frames"])
+    ({"rho": "0.5"}, "rho must be a real number"),
+    ({"sigma": True}, "sigma must be a real number"),
+], ids=["infinite-eps", "nan-sigma", "one-frame", "fractional-frames",
+        "string-rho", "bool-sigma"])
 def test_bad_stream_rejected_before_any_output(tmp_path, stream, match):
     doc = dict(CONFIG, stream=dict(CONFIG["stream"], **stream))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     archive = tmp_path / "stream.zip"
     with pytest.raises(ValueError, match=match):
+        main(["run", "--config", str(path), "--save-stream", str(archive)])
+    assert not archive.exists()
+
+
+@pytest.mark.parametrize("policy", [{"kind": "threshold", "h": "x"},
+                                    {"kind": "threshold", "h": True},
+                                    {"kind": "top_r", "r": 4, "h": "x"}],
+                         ids=["string-h", "bool-h", "string-h-under-top_r"])
+def test_bad_policy_rejected_before_any_output(tmp_path, policy):
+    doc = dict(CONFIG, policy=policy)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    archive = tmp_path / "stream.zip"
+    with pytest.raises(ValueError, match="h must be a nonnegative number"):
         main(["run", "--config", str(path), "--save-stream", str(archive)])
     assert not archive.exists()
 

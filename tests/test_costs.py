@@ -85,15 +85,8 @@ class TestEventfulFormula:
 
 
 class TestInstrumentedAgreement:
-    @pytest.mark.parametrize("n", [8, 16, 32])
-    @pytest.mark.parametrize("fraction", [0, 4, 2, 1])
-    def test_full_mode_ledger_equals_formula(self, n, fraction):
-        m = 0 if fraction == 0 else n // fraction
-        d, heads, ratio = 16, 2, 4
-        ledger, block = run_instrumented_block(n, d, heads, ratio, "full", m)
-        formula = count_block_eventful(n, m, d, heads, ratio, "full")
-        formula["nonlinear_elems"] += n * block.attn.resynced
-        assert ledger.frames[-1] == formula
+    # the full mode's ledger is checked against the closed form by
+    # test_normalizers.py::test_ledger_is_closed_form_plus_resynced_rows
 
     @pytest.mark.parametrize("mode", ["tokenwise_only", "stgt"])
     def test_other_modes_ledger_equals_formula(self, mode):
@@ -102,7 +95,7 @@ class TestInstrumentedAgreement:
         formula = count_block_eventful(n, m, d, heads, ratio, mode)
         assert ledger.frames[-1] == formula
 
-    def test_flush_frame_ledgered_separately(self):
+    def test_first_frame_ledgered_separately(self):
         # the first frame pays the exact block's work and no gate overhead;
         # the steady-state totals are every later frame
         for mode in ("full", "tokenwise_only", "stgt"):
@@ -144,13 +137,3 @@ class TestMemoryReport:
     def test_positive_sizes(self):
         with pytest.raises(ValueError):
             memory_report(0, 8, 2)
-
-
-class TestSavingsRatio:
-    def test_ledger_vs_formula_exact(self):
-        n, m, d, heads, ratio = 16, 4, 8, 2, 4
-        ledger, _ = run_instrumented_block(n, d, heads, ratio, "full", m)
-        measured = ledger.frames[-1]["macs_total"]
-        formula = count_block_eventful(n, m, d, heads, ratio)["macs_total"]
-        base = count_block_baseline(n, d, heads, ratio)["macs_total"]
-        assert base / measured == base / formula

@@ -28,6 +28,13 @@ class TestPolicy:
         policy.set_budget(np.int32(5))
         assert policy.r == 5
 
+    @pytest.mark.parametrize("kind, h", [("top_r", -0.5), ("top_r", "x"),
+                                         ("top_r", True), ("threshold", "x"),
+                                         ("threshold", True)])
+    def test_h_is_checked_under_either_kind(self, kind, h):
+        with pytest.raises(ValueError, match="h must be a nonnegative number"):
+            Policy(kind, r=4, h=h)
+
     @pytest.mark.parametrize("h", [float("nan"), -0.5])
     def test_threshold_must_be_a_nonnegative_number(self, h):
         # norms > nan is always False, so a NaN threshold would select nothing
@@ -69,8 +76,15 @@ class TestThreshold:
         assert check_policies(300, seed=1)[1]
 
 
+def test_fresh_stores_are_zero():
+    stores = [cls(3, 2, Policy()).u for cls in (Gate, DeltaGate, StgtGate)]
+    for store in stores + [Buffer(3, 2).b]:
+        assert store.dtype == np.float64 and store.flags.c_contiguous
+        np.testing.assert_array_equal(store, np.zeros((3, 2)))
+
+
 class TestGate:
-    def test_flush_selects_all(self):
+    def test_first_call_selects_all(self):
         gate = Gate(3, 2, Policy("top_r", r=1))
         c = np.arange(6.0).reshape(3, 2)
         idx, picked = gate(c)
@@ -103,7 +117,7 @@ class TestGate:
     def test_worked_example(self):
         gate = Gate(4, 2, Policy("top_r", r=2))
         u0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        gate(u0)  # flush establishes the references
+        gate(u0)  # the first call establishes the references
         c = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
         idx, picked = gate(c)
         np.testing.assert_array_equal(idx, [1, 2])
@@ -187,7 +201,7 @@ class TestDeltaGate:
         np.testing.assert_array_equal(u, [[0.0, 0.0], [3.0, 0.0]])
         np.testing.assert_array_equal(changes, [[2.0, 0.0]])
 
-    def test_flush_reports_input_as_change(self):
+    def test_first_call_reports_input_as_change(self):
         gate = DeltaGate(2, 2, Policy("top_r", r=1))
         c = np.array([[1.0, 2.0], [3.0, 4.0]])
         idx, u, changes = gate(c)
@@ -219,14 +233,8 @@ class TestDeltaGate:
         np.testing.assert_array_equal(gate.u, c0)
         assert changes.shape == (0, 2)
 
-    def test_forced_needs_a_reference_and_takes_gathered_rows(self):
+    def test_forced_takes_gathered_rows(self):
         gate = DeltaGate(3, 2, Policy("top_r", r=1))
-        with pytest.raises(ValueError):
-            gate.forced(np.ones((3, 2)), np.arange(3))
-        assert gate.u is None
-        with pytest.raises(ValueError):
-            gate.overwrite(np.ones((1, 2)), np.array([1]))
-        assert gate.u is None
         gate.overwrite(np.ones((3, 2)), np.arange(3))
         with pytest.raises(ValueError):
             gate.forced(np.ones((3, 2)), np.array([1]))
@@ -254,10 +262,10 @@ class TestBuffer:
         tokens = np.arange(4.0).reshape(2, 2)
         np.testing.assert_array_equal(buf(np.arange(2), tokens), tokens)
 
-    def test_first_write_must_be_total(self):
+    def test_partial_first_write_leaves_other_rows_zero(self):
         buf = Buffer(3, 2)
-        with pytest.raises(ValueError):
-            buf(np.array([1]), np.ones((1, 2)))
+        out = buf(np.array([1]), np.ones((1, 2)))
+        np.testing.assert_array_equal(out, [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
 
     def test_empty_write_no_change(self):
         buf = Buffer(2, 1)
@@ -279,14 +287,14 @@ class TestBuffer:
 
 
 class TestStgtGate:
-    def test_flush_selects_all(self):
+    def test_first_call_selects_all(self):
         gate = StgtGate(3, 2, Policy("top_r", r=1))
         c = np.ones((3, 2))
         idx, picked = gate(c)
         np.testing.assert_array_equal(idx, [0, 1, 2])
         np.testing.assert_array_equal(picked, c)
 
-    def test_static_after_flush(self):
+    def test_static_after_first_call(self):
         gate = StgtGate(3, 2, Policy("top_r", r=2))
         c = np.arange(6.0).reshape(3, 2)
         gate(c)
@@ -323,8 +331,11 @@ class TestStgtGate:
         np.testing.assert_allclose(ref_max[4:], 0.4, rtol=1e-9)
 
     def test_state_is_overwritten_every_frame(self):
+        # in place: the reference is one array object across calls
         gate = StgtGate(2, 1, Policy("top_r", r=1))
+        store = gate.u
         gate(np.array([[0.0], [0.0]]))
         c = np.array([[5.0], [6.0]])
         gate(c)
+        assert gate.u is store
         np.testing.assert_array_equal(gate.u, c)

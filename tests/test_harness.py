@@ -46,7 +46,7 @@ class TestRunPair:
         assert all(err < 1e-5 for err in report.column("rel_l2_error"))
         assert all(match == 1 for match in report.column("argmax_match"))
 
-    def test_flush_frame_error_zero(self):
+    def test_first_frame_error_zero(self):
         # the first frame takes every token whatever the policy, so it runs
         # the oracle's operations exactly
         policies = (Policy("top_r", r=2), Policy("top_r", r=0),
@@ -250,7 +250,7 @@ class TestWriters:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == CSV_COLUMNS
         assert len(rows) == 6
-        assert int(rows[0]["selected_qkv"]) == 32  # flush selects everything
+        assert int(rows[0]["selected_qkv"]) == 32  # the first frame selects everything
 
     def test_sweep_csv(self, tmp_path):
         rows = sweep_budget(small_model(), small_stream(), [2, 8])

@@ -206,8 +206,8 @@ def test_normalizers_hold_under_any_schedule(case, schedule, h, seed):
 
 
 def test_ledger_is_closed_form_plus_resynced_rows():
-    d, heads, ratio = 16, 2, 4
-    for n in (8, 16, 32):
+    heads, ratio = 2, 4
+    for n, d in ((8, 16), (16, 16), (32, 16), (16, 8)):
         for m in range(n + 1):
             ledger = CostLedger()
             model = Model(ModelConfig(blocks=1, n=n, d=d, heads=heads, seed=36,

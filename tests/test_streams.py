@@ -80,6 +80,12 @@ def test_config_validation():
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match=field):
                 StreamConfig(**{field: value})
+    for field in ("rho", "sigma", "eps"):
+        for value in ("0.5", True, None):
+            with pytest.raises(ValueError, match=f"{field} must be a real number"):
+                StreamConfig(**{field: value})
+        StreamConfig(**{field: np.float32(0.5)})
+        StreamConfig(**{field: 1})
     for field in ("n", "d"):
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
             StreamConfig(**{field: 0})
