@@ -87,11 +87,12 @@ class AttentionWeights:
 
 
 def head_split(x: TokenMatrix, heads: int) -> np.ndarray:
-    """(n, d) -> (heads, n, d // heads) by contiguous column slices."""
+    """(n, d) -> (heads, n, d // heads), a view of x that callers must not
+    write to: head h is the contiguous column slice h * dh : (h + 1) * dh."""
     n, d = x.shape
     if d % heads:
         raise ValueError("width must divide evenly across heads")
-    return np.ascontiguousarray(x.reshape(n, heads, d // heads).transpose(1, 0, 2))
+    return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
 
 
 def head_merge(per_head: np.ndarray) -> TokenMatrix:
@@ -174,12 +175,13 @@ def av_delta_update(av: TokenMatrix, attn_now: TokenMatrix, a_gate: DeltaGate,
     at those columns only (queries x |idx|); ``v_delta``/``v_now`` are the
     gathered value changes and updated values at idx.  After the call ``av``
     equals (gate reference A) @ (gate reference V) up to float rounding,
-    whatever was selected.  The attention changes are counted by ``a_gate``
-    into its own ledger.
+    whatever was selected.  The attention changes, one subtraction per
+    element, are counted here with the delta products' adds.
     """
     ledger = ledger or NullLedger()
     idx = as_index_set(idx, a_gate.n)
     a_changes = a_gate.forced(attn_now.T, idx)
+    ledger.count_adds(a_changes.size)
     if idx.size == 0:
         return
     term = ledger.matmul("av", attn_now, v_delta)
@@ -276,10 +278,10 @@ class AttentionState:
         if mode == "full":
             self.b = np.zeros((heads, n, self.n_kv))
             self.row_offset = np.zeros((heads, n))
-            self.row_sum = np.zeros((heads, n))
+            # the exponential sum of a zero row of B at offset 0
+            self.row_sum = np.full((heads, n), float(self.n_kv))
             self.av = np.zeros((heads, n, self.dh))
-            self.a_gates = [DeltaGate(self.n_kv, n, policy, self.ledger)
-                            for _ in range(heads)]
+            self.a_gates = [DeltaGate(self.n_kv, n, policy) for _ in range(heads)]
             self.v_gate = DeltaGate(self.n_kv, d, policy, self.ledger)
         self.resynced = 0
 

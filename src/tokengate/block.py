@@ -234,6 +234,12 @@ class Model:
         self.policy.set_budget(r)
 
     def embed(self, frame: TokenMatrix) -> TokenMatrix:
+        """Add the position embedding to a frame of n x d numbers (an array
+        or nested lists); raises ValueError on any other frame."""
+        try:
+            frame = np.asarray(frame, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"frame must be an array of numbers: {err}") from None
         if frame.shape != (self.cfg.n, self.cfg.d):
             raise ValueError(f"expected frame of shape {(self.cfg.n, self.cfg.d)}, "
                              f"got {frame.shape}")

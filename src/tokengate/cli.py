@@ -54,12 +54,19 @@ _SECTION_KEYS = {
 _MODEL_FIELDS = {"N": "n", "D": "d", "H": "heads"}
 
 
-def _reject_unknown_keys(doc):
+def _check_sections(doc):
+    """Reject a document or section that is not a JSON object, and unknown keys."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a config must be a JSON object, got {doc!r}")
     for key in doc:
         if key not in _SECTION_KEYS and key != "schedule":
             raise ValueError(f"unknown config key {key!r}")
     for section, allowed in _SECTION_KEYS.items():
-        for key in doc.get(section, {}):
+        body = doc.get(section, {})
+        if not isinstance(body, dict):
+            raise ValueError(f"config section {section!r} must be a JSON "
+                             f"object, got {body!r}")
+        for key in body:
             if key not in allowed:
                 raise ValueError(f"unknown key {key!r} in config section "
                                  f"{section!r}")
@@ -67,13 +74,14 @@ def _reject_unknown_keys(doc):
 
 def load_config(path) -> tuple[ModelConfig, StreamConfig, list[int] | None]:
     """Parse a config document; a missing key takes the default of the
-    config class it feeds.  Unknown keys, a schedule that is not a list of
+    config class it feeds.  A document or section that is not a JSON
+    object, unknown keys, a schedule that is not a list of
     nonnegative integers, a schedule under a policy without a budget, and a
     stream of fewer than 2 frames (every command pairs its runs over the
     frames after the first) raise ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
-    _reject_unknown_keys(doc)
+    _check_sections(doc)
     policy = Policy(**doc.get("policy", {}))
     schedule = doc.get("schedule", [])
     if not (isinstance(schedule, list) and all(map(is_budget, schedule))):
@@ -153,7 +161,7 @@ def _cmd_time(args) -> int:
     model_cfg, stream_cfg, _ = load_config(args.config)
     table = measure_walltime(model_cfg, stream_cfg, repetitions=args.reps)
     for variant, ms in table.items():
-        print(f"{variant:>15s}  {ms:8.3f} ms/frame")
+        print(f"{variant:>15s}  {ms:8.3f} normalized ms/frame")
     return 0
 
 
@@ -193,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=[2, 4, 8])
     p_count.set_defaults(func=_cmd_count)
 
-    p_time = sub.add_parser("time", help="median per-frame wall times")
+    p_time = sub.add_parser("time", help="median per-frame normalized wall times")
     p_time.add_argument("--config", required=True)
     p_time.add_argument("--reps", type=int, default=5)
     p_time.set_defaults(func=_cmd_time)

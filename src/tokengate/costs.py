@@ -134,8 +134,9 @@ def patched_softmax_exps(n: int, n_kv: int, rows: int, cols: int,
     return rows * n_kv + patched + n * values
 
 
-def _check_block_shape(n: int, d: int, heads: int):
-    for name, size in (("n", n), ("d", d), ("heads", heads)):
+def _check_block_shape(n: int, d: int, heads: int, mlp_ratio: int):
+    for name, size in (("n", n), ("d", d), ("heads", heads),
+                       ("mlp_ratio", mlp_ratio)):
         if size < 1:
             raise ValueError(f"{name} must be at least 1, got {size}")
     if d % heads:
@@ -144,7 +145,7 @@ def _check_block_shape(n: int, d: int, heads: int):
 
 def count_block_baseline(n: int, d: int, h: int, mlp_ratio: int = 4) -> dict:
     """MACs for one exact block frame: qkv + similarity + weighting + proj + MLP."""
-    _check_block_shape(n, d, h)
+    _check_block_shape(n, d, h, mlp_ratio)
     token_wise = 3 * n * d * d + n * d * d + 2 * mlp_ratio * n * d * d
     return cost_record(token_wise, n * n * d, n * n * d,
                        nonlinear=_norm_and_gelu_elems(n, n, d, mlp_ratio) + h * n * n)
@@ -173,7 +174,7 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
     depends on where the selected tokens sit on the grid, so pooled runs are
     costed by instrumentation only.
     """
-    _check_block_shape(n, d, h)
+    _check_block_shape(n, d, h, mlp_ratio)
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
     token_wise = 3 * m * d * d + m * d * d + 2 * mlp_ratio * m * d * d

@@ -144,40 +144,37 @@ class Gate:
         self.u = np.zeros((n, width))
         self.last_idx: IndexSet | None = None
 
-    def _select(self, c: TokenMatrix) -> tuple[TokenMatrix, IndexSet, TokenMatrix]:
-        """Validate c and pick the tokens to refresh; returns (c, idx, c - u).
+    def _select(self, c: TokenMatrix) -> tuple[TokenMatrix, IndexSet]:
+        """Validate c and pick the tokens to refresh; returns (c, idx).
 
-        The first call takes every token against a zero reference, so the
-        difference is c itself and costs nothing.  Later calls take idx from
-        the policy applied to the per-token norm of the difference, at one
-        subtraction and one squared-norm MAC per element; a plain Gate then
-        drops the picks of norm 0 (``_skips_unchanged``).
+        The first call takes every token against a zero reference at no
+        cost.  Later calls take idx from the policy applied to the per-token
+        norm of the difference c - u, at one subtraction and one squared-norm
+        MAC per element; a plain Gate then drops the picks of norm 0
+        (``_skips_unchanged``).  The difference is not kept.
         """
         c = np.asarray(c, dtype=np.float64)
         if c.shape != self.u.shape:
             raise ValueError(f"expected input of shape {self.u.shape}, "
                              f"got {c.shape}")
         if self.last_idx is None:
-            diff, idx = c, full_index_set(self.n)
+            idx = full_index_set(self.n)
         else:
-            diff = c - self.u
-            norms = row_l2_norms(diff)
+            norms = row_l2_norms(c - self.u)
             idx = self.policy.select(norms)
             if self._skips_unchanged:
                 idx = idx[norms[idx] > 0]
             self.ledger.count_adds(c.size)
             self.ledger.count_macs("gate_overhead", c.size)
         self.last_idx = idx
-        return c, idx, diff
+        return c, idx
 
     def _refresh(self, c: TokenMatrix, idx: IndexSet, picked: TokenMatrix):
         """Reference-update rule: overwrite the selected rows only."""
         _write_rows(self.u, idx, picked)
 
     def __call__(self, c: TokenMatrix) -> tuple[IndexSet, TokenMatrix]:
-        # drop the difference before the gather, which can then reuse its
-        # memory instead of faulting in fresh pages
-        c, idx = self._select(c)[:2]
+        c, idx = self._select(c)
         picked = c[idx]
         self._refresh(c, idx, picked)
         return idx, picked
@@ -197,18 +194,16 @@ class DeltaGate(Gate):
     _skips_unchanged = False
 
     def __call__(self, c: TokenMatrix) -> tuple[IndexSet, TokenMatrix, TokenMatrix]:
-        c, idx, diff = self._select(c)
-        self.overwrite(c[idx], idx)
-        return idx, self.u, diff[idx]
+        c, idx = self._select(c)
+        return idx, self.u, self.forced(c[idx], idx)
 
     def forced(self, rows: TokenMatrix, idx: IndexSet) -> TokenMatrix:
-        """``overwrite`` that also returns the changes, one subtraction per
-        element."""
+        """``overwrite`` that also returns the changes (rows minus the
+        reference they replace), one subtraction per element; the only
+        rule that turns a write into changes.  The caller counts them."""
         idx = as_index_set(idx, self.n)
-        rows = np.asarray(rows, dtype=np.float64)
         old = self.u[idx]
         self.overwrite(rows, idx)
-        self.ledger.count_adds(rows.size)
         return np.subtract(rows, old, out=old)
 
     def overwrite(self, rows: TokenMatrix, idx: IndexSet):

@@ -38,8 +38,14 @@ def check_integer_fields(obj, names):
 
 
 def as_index_set(indices, n: int) -> IndexSet:
-    """Validate and canonicalize indices: int64, strictly increasing, in [0, n)."""
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    """Validate and canonicalize indices: int64, strictly increasing, in [0, n).
+
+    Non-empty indices must have an integer dtype: floats are not truncated
+    and a boolean mask is not read as indices."""
+    idx = np.asarray(indices)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False).reshape(-1)
     if idx.size:
         if idx[0] < 0 or idx[-1] >= n:
             raise IndexError(f"index out of range for {n} tokens")

@@ -85,6 +85,10 @@ class TestHeadSplitMerge:
         with pytest.raises(ValueError):
             head_split(np.zeros((2, 5)), 2)
 
+    def test_split_is_a_view(self):
+        x = np.arange(8.0).reshape(2, 4)
+        assert np.shares_memory(head_split(x, 2), x)
+
 
 class TestMsaBaseline:
     def test_single_token(self):
@@ -133,6 +137,15 @@ class TestQkSparseUpdate:
         k[idx] = rng.normal((4, 3))
         qk_sparse_update(b, q, k, idx, idx)
         np.testing.assert_allclose(b, q @ k.T, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [[1.0], [0.5], np.array([False, True, False, False])],
+                             ids=["integral-float", "fraction", "bool-mask"])
+    def test_integer_indices_only(self, rows):
+        _, q, k, b = self._instance(6, 4, 3)
+        before = b.copy()
+        with pytest.raises(ValueError, match="indices must be integers"):
+            qk_sparse_update(b, q, k, rows, np.array([1]))
+        np.testing.assert_array_equal(b, before)
 
     def test_empty_update_unchanged(self):
         _, q, k, b = self._instance(6, 4, 3)
@@ -266,6 +279,20 @@ class TestAvDeltaUpdate:
                             v_gate.u[idx])
             np.testing.assert_allclose(av, a_gate.u.T @ v_gate.u, atol=1e-12)
 
+    def test_counts_the_attention_changes(self):
+        # |idx| * N subtractions for the attention changes, into the ledger
+        # the update is given, next to the delta products' adds
+        rng = SplitRng(15)
+        n, dh = 4, 3
+        a_gate, v_gate = DeltaGate(n, n, Policy("top_r", r=2)), DeltaGate(n, dh, Policy())
+        av = np.zeros((n, dh))
+        idx = np.array([0, 2])
+        v_changes = v_gate.forced(rng.normal((idx.size, dh)), idx)
+        ledger = CostLedger()
+        av_delta_update(av, random_attention(rng, n)[:, idx], a_gate, idx,
+                        v_changes, v_gate.u[idx], ledger)
+        assert ledger.adds == idx.size * n + v_changes.size + 2 * av.size
+
     def test_empty_selection_unchanged(self):
         rng = SplitRng(12)
         a_gate = DeltaGate(3, 3, Policy("top_r", r=3))
@@ -346,6 +373,11 @@ class TestAttentionState:
                 x[idx] = rng.normal((idx.size, d))
             state.step(idx, x[idx] @ w.wq, x[idx] @ w.wk, x[idx] @ w.wv)
         return state
+
+    @pytest.mark.parametrize("pool", [1, 2])
+    def test_fresh_state_holds_its_invariants(self, pool):
+        state = AttentionState(16, 8, 2, Policy("top_r", r=4), pool=pool)
+        assert state_within_bounds(state_deviation(state))
 
     def test_qk_and_av_invariants_unpooled(self):
         state = self._drive("full", 1, 6, r=5, seed=16)

@@ -301,6 +301,37 @@ class TestModel:
         with pytest.raises(ValueError):
             model.step(np.zeros((4, 4)))
 
+    def test_nested_list_frame_matches_array_frame(self):
+        cfg = ModelConfig(blocks=2, n=16, d=8, heads=2, seed=29)
+        frames = gen_stream(StreamConfig(n=16, d=8, frames=4, seed=30))
+        from_arrays, from_lists = Model(cfg), Model(cfg)
+        for frame in frames:
+            tokens, logits = from_arrays.step(frame)
+            tokens_l, logits_l = from_lists.step(frame.tolist())
+            np.testing.assert_array_equal(tokens_l, tokens)
+            np.testing.assert_array_equal(logits_l, logits)
+        np.testing.assert_array_equal(from_lists.baseline_frame(frame.tolist())[0],
+                                      from_arrays.baseline_frame(frame)[0])
+
+    @pytest.mark.parametrize("bad", [[[0.0] * 4] * 7 + [[0.0] * 3],
+                                     [["x"] * 4] * 8],
+                             ids=["ragged", "non-numeric"])
+    def test_malformed_frame_rejected_without_touching_state(self, bad):
+        cfg = ModelConfig(blocks=1, n=8, d=4, heads=2, seed=31)
+        ledger = CostLedger()
+        model = Model(cfg, ledger=ledger)
+        model.step(SplitRng(32).normal((8, 4)))
+        blk = model.blocks[0]
+        stores = (blk.gate_qkv.u, blk.gate_p.u, blk.gate_mlp.u, blk.p_buf.b,
+                  blk.mlp_buf.b, blk.attn.b, blk.attn.av, blk.attn.v_gate.u)
+        before = [store.copy() for store in stores]
+        macs = dict(ledger.macs)
+        with pytest.raises(ValueError, match="frame must be an array of numbers"):
+            model.step(bad)
+        assert ledger.macs == macs and len(ledger.frames) == 1
+        for store, kept in zip(stores, before):
+            np.testing.assert_array_equal(store, kept)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_frame_rejected_without_touching_state(self, bad):
         n = 16

@@ -41,6 +41,21 @@ def test_load_config_rejects_unknown_keys(tmp_path, doc, key):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("doc, match", [
+    ([], "a config must be a JSON object"),
+    ({"policy": "top_r"}, "section 'policy' must be a JSON object"),
+    ({"stream": None}, "section 'stream' must be a JSON object"),
+    ({"model": [16]}, "section 'model' must be a JSON object"),
+], ids=["list-document", "string-policy", "null-stream", "list-model"])
+def test_non_object_config_rejected_before_any_output(tmp_path, doc, match):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    archive = tmp_path / "stream.zip"
+    with pytest.raises(ValueError, match=match):
+        main(["run", "--config", str(path), "--save-stream", str(archive)])
+    assert not archive.exists()
+
+
 def test_missing_keys_take_the_config_class_defaults(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("{}")
@@ -168,14 +183,16 @@ def test_bad_model_rejected_before_any_output(tmp_path, model, match):
     assert not archive.exists()
 
 
-@pytest.mark.parametrize("field", ["n", "d", "heads"])
+@pytest.mark.parametrize("field", ["n", "d", "heads", "mlp_ratio"])
 def test_count_rejects_sizes_below_one(field):
-    sizes = {"n": 4, "d": 8, "heads": 2, field: 0}
+    sizes = {"n": 4, "d": 8, "heads": 2, "mlp_ratio": 4, field: 0}
     named = f"{field} must be at least 1"
     with pytest.raises(ValueError, match=named):
-        main(["count", "--m=0", *(f"--{k}={v}" for k, v in sizes.items())])
+        main(["count", "--m=0",
+              *(f"--{k.replace('_', '-')}={v}" for k, v in sizes.items())])
     with pytest.raises(ValueError, match=named):
-        count_block_eventful(sizes["n"], 0, sizes["d"], sizes["heads"])
+        count_block_eventful(sizes["n"], 0, sizes["d"], sizes["heads"],
+                             sizes["mlp_ratio"])
 
 
 def test_run_stream_round_trip(config_path, tmp_path):

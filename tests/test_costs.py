@@ -84,6 +84,14 @@ class TestEventfulFormula:
             count_block_eventful(16, 4, 8, 2, mode="spatial_pool")
 
 
+@pytest.mark.parametrize("ratio", [-1, 0])
+def test_closed_forms_reject_mlp_ratio_below_one(ratio):
+    with pytest.raises(ValueError, match="mlp_ratio must be at least 1"):
+        count_block_baseline(4, 2, 1, mlp_ratio=ratio)
+    with pytest.raises(ValueError, match="mlp_ratio must be at least 1"):
+        count_block_eventful(4, 1, 2, 1, mlp_ratio=ratio)
+
+
 class TestInstrumentedAgreement:
     # the full mode's ledger is checked against the closed form by
     # test_normalizers.py::test_ledger_is_closed_form_plus_resynced_rows

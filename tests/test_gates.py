@@ -243,6 +243,14 @@ class TestDeltaGate:
         np.testing.assert_array_equal(changes, [[3.0, 3.0]])
         np.testing.assert_array_equal(gate.u, [[1.0, 1.0], [4.0, 4.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("idx", [[0.5], [1.0], np.array([False, True])],
+                             ids=["fraction", "integral-float", "bool-mask"])
+    def test_forced_takes_integer_indices_only(self, idx):
+        gate = DeltaGate(2, 2, Policy("top_r", r=1))
+        with pytest.raises(ValueError, match="indices must be integers"):
+            gate.forced(np.ones((1, 2)), idx)
+        np.testing.assert_array_equal(gate.u, np.zeros((2, 2)))
+
     def test_forced_matches_forward_on_same_indices(self):
         u0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         c = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
@@ -278,6 +286,18 @@ class TestBuffer:
         buf(np.arange(2), np.zeros((2, 1)))
         out = buf(np.array([1]), np.array([[9.0]]))
         np.testing.assert_array_equal(out, [[0.0], [9.0]])
+
+    @pytest.mark.parametrize("idx", [np.array([False, True]), [1.7, 2.2]],
+                             ids=["bool-mask", "floats"])
+    def test_integer_indices_only(self, idx):
+        buf = Buffer(3, 2)
+        with pytest.raises(ValueError, match="indices must be integers"):
+            buf(idx, np.ones((2, 2)))
+        np.testing.assert_array_equal(buf.b, np.zeros((3, 2)))
+
+    def test_empty_list_is_an_empty_index_set(self):
+        buf = Buffer(2, 1)
+        np.testing.assert_array_equal(buf([], np.empty((0, 1))), np.zeros((2, 1)))
 
     def test_size_mismatch(self):
         buf = Buffer(2, 1)
