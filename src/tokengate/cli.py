@@ -161,7 +161,7 @@ def _cmd_time(args) -> int:
     model_cfg, stream_cfg, _ = load_config(args.config)
     table = measure_walltime(model_cfg, stream_cfg, repetitions=args.reps)
     for variant, ms in table.items():
-        print(f"{variant:>15s}  {ms:8.3f} normalized ms/frame")
+        print(f"{variant:>15s}  {ms:8.3f} ms/frame")
     return 0
 
 
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=[2, 4, 8])
     p_count.set_defaults(func=_cmd_count)
 
-    p_time = sub.add_parser("time", help="median per-frame normalized wall times")
+    p_time = sub.add_parser("time", help="median per-frame wall times")
     p_time.add_argument("--config", required=True)
     p_time.add_argument("--reps", type=int, default=5)
     p_time.set_defaults(func=_cmd_time)

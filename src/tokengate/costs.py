@@ -49,22 +49,21 @@ class CostLedger:
         self.adds = 0
         self.nonlinear_elems = 0
         self.frames: list[dict] = []
-        self._frame_open = False
+        self._frame_start = None
 
     def _running(self) -> dict:
         return cost_record(*self.macs.values(), self.adds, self.nonlinear_elems)
 
     def begin_frame(self):
         self._frame_start = self._running()
-        self._frame_open = True
 
     def end_frame(self):
-        if not self._frame_open:
+        if self._frame_start is None:
             raise RuntimeError("end_frame without begin_frame")
         now = self._running()
         snap = {key: now[key] - self._frame_start[key] for key in now}
         self.frames.append(snap)
-        self._frame_open = False
+        self._frame_start = None
         return snap
 
     def count_macs(self, category: str, count: int):
@@ -91,24 +90,12 @@ class CostLedger:
 
 
 class NullLedger(CostLedger):
-    """Ledger that performs the products but records nothing."""
+    """Counts like ``CostLedger`` but keeps no per-frame records."""
 
     def begin_frame(self):
         pass
 
     def end_frame(self):
-        pass
-
-    def count_macs(self, category, count):
-        pass
-
-    def matmul(self, category, a, b):
-        return a @ b
-
-    def count_adds(self, count):
-        pass
-
-    def count_nonlinear(self, elems):
         pass
 
 

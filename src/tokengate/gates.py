@@ -189,6 +189,9 @@ class DeltaGate(Gate):
     reference is zero, so its change equals the input.  It fills its budget
     with unchanged tokens too: in attention its picks also choose the
     attention gate's columns to refresh, and A changes where V did not.
+    ``top_r`` breaks the tie among their zero norms by index: below r = N
+    the filler is the same lowest-indexed columns on every frame, and A's
+    other unchanged columns stay stale until their token changes.
     """
 
     _skips_unchanged = False

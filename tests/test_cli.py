@@ -248,6 +248,10 @@ def test_time_table(config_path, capsys):
     out = capsys.readouterr().out
     for variant in ("baseline", "full", "tokenwise_only"):
         assert variant in out
+    # the table holds raw wall times: no calibration scales them
+    lines = out.splitlines()
+    assert all(line.endswith(" ms/frame") for line in lines)
+    assert not any("normalized" in line for line in lines)
 
 
 def test_module_entry_point(config_path):

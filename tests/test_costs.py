@@ -1,14 +1,18 @@
+import numpy as np
 import pytest
 
 from oracles import run_instrumented_block
-from tokengate.block import ModelConfig, block_baseline, init_model_weights
+from tokengate.block import Model, ModelConfig, block_baseline, init_model_weights
 from tokengate.costs import (
     CostLedger,
+    cost_record,
     count_block_baseline,
     count_block_eventful,
     memory_report,
 )
+from tokengate.gates import Policy
 from tokengate.rng import SplitRng
+from tokengate.streams import StreamConfig, gen_stream
 
 
 class TestBaselineFormula:
@@ -124,6 +128,23 @@ class TestInstrumentedAgreement:
             assert parts == snap["macs_total"]
             running += snap["macs_total"]
         assert running == sum(ledger.macs.values())
+
+    @pytest.mark.parametrize("mode, pool", [("full", 1), ("spatial_pool", 2)])
+    def test_model_without_a_ledger_counts_the_same_products(self, mode, pool):
+        # a model built without a ledger runs the product path the ledger
+        # tests count; it only keeps no per-frame records
+        cfg = ModelConfig(blocks=2, n=16, d=8, heads=2, mode=mode, pool_p=pool,
+                          seed=5, policy=Policy("top_r", r=4))
+        frames = gen_stream(StreamConfig(n=16, d=8, frames=6, rho=0.25, seed=6))
+        plain, counted = Model(cfg), Model(cfg, ledger=CostLedger())
+        for frame in frames:
+            for got, want in zip(plain.step(frame), counted.step(frame)):
+                np.testing.assert_array_equal(got, want)
+        null = plain.ledger
+        assert null.frames == []
+        snaps = counted.ledger.frames
+        assert cost_record(*null.macs.values(), null.adds, null.nonlinear_elems) == {
+            key: sum(snap[key] for snap in snaps) for key in snaps[0]}
 
 
 class TestMemoryReport:

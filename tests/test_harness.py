@@ -251,6 +251,13 @@ class TestWriters:
         assert list(rows[0]) == CSV_COLUMNS
         assert len(rows) == 6
         assert int(rows[0]["selected_qkv"]) == 32  # the first frame selects everything
+        # the count columns are the gated ledger's per-frame records
+        for row, snap in zip(rows, report.gated_ledger.frames, strict=True):
+            assert {key: int(row[key]) for key in CSV_COLUMNS[5:11]} == {
+                "macs_total": snap["macs_total"], "macs_qk": snap["macs_qk"],
+                "macs_av": snap["macs_av"], "macs_tokenwise": snap["macs_token_wise"],
+                "adds_overhead": snap["adds_overhead"],
+                "nonlinear_elems": snap["nonlinear_elems"]}
 
     def test_sweep_csv(self, tmp_path):
         rows = sweep_budget(small_model(), small_stream(), [2, 8])
