@@ -54,6 +54,8 @@ from .kernels import (
     IndexSet,
     TokenMatrix,
     as_index_set,
+    check_heads,
+    check_integer,
     softmax_rows,
 )
 
@@ -78,8 +80,7 @@ class AttentionWeights:
         for name in ("wq", "wk", "wv", "wp"):
             if getattr(self, name).shape != (d, d):
                 raise ValueError(f"{name} must be square of width {d}")
-        if d % self.heads:
-            raise ValueError("width must divide evenly across heads")
+        check_heads(d, self.heads)
 
     @property
     def width(self) -> int:
@@ -90,8 +91,7 @@ def head_split(x: TokenMatrix, heads: int) -> np.ndarray:
     """(n, d) -> (heads, n, d // heads), a view of x that callers must not
     write to: head h is the contiguous column slice h * dh : (h + 1) * dh."""
     n, d = x.shape
-    if d % heads:
-        raise ValueError("width must divide evenly across heads")
+    check_heads(d, heads)
     return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
 
 
@@ -194,10 +194,9 @@ def av_delta_update(av: TokenMatrix, attn_now: TokenMatrix, a_gate: DeltaGate,
 def _pool_grid(n: int, pool: int) -> int:
     """Side of the square grid of n tokens that pooling needs; 0 for pool 1.
 
-    Raises ValueError unless n tokens form a square grid whose side the
-    pool factor divides."""
-    if pool < 1:
-        raise ValueError("pool factor must be at least 1")
+    Raises ValueError unless the pool factor is an integer of at least 1
+    and, above 1, n tokens form a square grid whose side it divides."""
+    check_integer("pool", pool, 1)
     if pool == 1:
         return 0
     side = int(round(np.sqrt(n)))
@@ -261,8 +260,9 @@ class AttentionState:
     def __init__(self, n: int, d: int, heads: int, policy: Policy,
                  mode: str = "full", pool: int = 1,
                  ledger: CostLedger | None = None):
-        if d % heads:
-            raise ValueError("width must divide evenly across heads")
+        check_integer("n", n, 1)
+        check_integer("d", d, 1)
+        check_heads(d, heads)
         if mode not in ("full", "tokenwise_only"):
             raise ValueError(f"unknown attention mode {mode!r}")
         self.n, self.d, self.heads = n, d, heads

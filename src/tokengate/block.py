@@ -34,7 +34,7 @@ from .attention import (
 )
 from .costs import CostLedger, NullLedger
 from .gates import Buffer, Gate, Policy, StgtGate
-from .kernels import TokenMatrix, check_integer_fields, gelu, layer_norm
+from .kernels import TokenMatrix, check_heads, check_integer, gelu, layer_norm
 from .rng import SplitRng
 
 MODES = ("full", "tokenwise_only", "stgt", "spatial_pool")
@@ -85,17 +85,12 @@ class ModelConfig:
     num_classes: int = 10
 
     def __post_init__(self):
-        check_integer_fields(self, ("blocks", "n", "d", "heads", "mlp_ratio",
-                                    "pool_p", "seed", "num_classes"))
+        for name, minimum in (("blocks", 0), ("n", 1), ("d", 1),
+                              ("mlp_ratio", 1), ("pool_p", 1), ("seed", None),
+                              ("num_classes", 1)):
+            check_integer(name, getattr(self, name), minimum)
+        check_heads(self.d, self.heads)
         _check_mode(self.mode, self.pool_p)
-        if self.blocks < 0:
-            raise ValueError(f"blocks must be nonnegative, got {self.blocks}")
-        for name in ("n", "d", "heads", "mlp_ratio", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, "
-                                 f"got {getattr(self, name)}")
-        if self.d % self.heads:
-            raise ValueError("width must divide evenly across heads")
         _pool_grid(self.n, self.pool_p)
 
 
@@ -159,17 +154,13 @@ class GatedBlock:
 
         idx_p, picked_p = self.gate_p(y_att)
         proj = _project(picked_p, a.wp, a.bp, ledger)
-        y_full = self.p_buf(idx_p, proj)
-        assert y_full.shape == x.shape
-        y = y_full + x
+        y = self.p_buf(idx_p, proj) + x
 
         yn = layer_norm(y, w.ln2_gamma, w.ln2_beta)
         ledger.count_nonlinear(yn.size)
         idx_m, picked_m = self.gate_mlp(yn)
         mlp_out = _mlp_forward(picked_m, w, ledger)
-        z_full = self.mlp_buf(idx_m, mlp_out)
-        assert z_full.shape == y.shape
-        return z_full + y
+        return self.mlp_buf(idx_m, mlp_out) + y
 
 
 @dataclass

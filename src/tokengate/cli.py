@@ -32,7 +32,7 @@ from .archive import export_stream, import_stream
 from .block import ModelConfig
 from .checks import run_all_checks
 from .costs import count_block_baseline, count_block_eventful, memory_report
-from .gates import Policy, is_budget
+from .gates import Policy
 from .harness import (
     measure_walltime,
     run_pair,
@@ -41,6 +41,7 @@ from .harness import (
     write_summary_json,
     write_sweep_csv,
 )
+from .kernels import check_integer
 from .streams import StreamConfig, gen_stream
 
 
@@ -84,9 +85,11 @@ def load_config(path) -> tuple[ModelConfig, StreamConfig, list[int] | None]:
     _check_sections(doc)
     policy = Policy(**doc.get("policy", {}))
     schedule = doc.get("schedule", [])
-    if not (isinstance(schedule, list) and all(map(is_budget, schedule))):
+    if not isinstance(schedule, list):
         raise ValueError(f"schedule must be a list of nonnegative integers, "
                          f"got {schedule!r}")
+    for r in schedule:
+        check_integer("schedule entry", r, 0)
     if schedule and policy.kind != "top_r":
         raise ValueError(f"a schedule sets budgets, which a {policy.kind} "
                          f"policy does not have")
@@ -175,8 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out-csv")
     p_run.add_argument("--out-json")
-    p_run.add_argument("--save-stream", help="export the frames as a tensor archive")
-    p_run.add_argument("--load-stream", help="run on frames from a tensor archive")
+    fixture = p_run.add_mutually_exclusive_group()
+    fixture.add_argument("--save-stream", help="export the frames as a tensor archive")
+    fixture.add_argument("--load-stream", help="run on frames from a tensor archive")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="budget sweep -> CSV")

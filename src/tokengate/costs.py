@@ -26,6 +26,8 @@ any other; steady-state totals start after it.
 
 from __future__ import annotations
 
+from .kernels import check_heads, check_integer
+
 MAC_CATEGORIES = ("token_wise", "qk", "av", "gate_overhead")
 
 
@@ -121,18 +123,17 @@ def patched_softmax_exps(n: int, n_kv: int, rows: int, cols: int,
     return rows * n_kv + patched + n * values
 
 
-def _check_block_shape(n: int, d: int, heads: int, mlp_ratio: int):
-    for name, size in (("n", n), ("d", d), ("heads", heads),
-                       ("mlp_ratio", mlp_ratio)):
-        if size < 1:
-            raise ValueError(f"{name} must be at least 1, got {size}")
-    if d % heads:
-        raise ValueError("width must divide evenly across heads")
+def _check_sizes(n: int, d: int, h: int, **more):
+    """Raise ValueError unless n, d, h and every size in ``more`` are
+    integers of at least 1 and width d splits over the h heads."""
+    for name, size in dict(n=n, d=d, **more).items():
+        check_integer(name, size, 1)
+    check_heads(d, h)
 
 
 def count_block_baseline(n: int, d: int, h: int, mlp_ratio: int = 4) -> dict:
     """MACs for one exact block frame: qkv + similarity + weighting + proj + MLP."""
-    _check_block_shape(n, d, h, mlp_ratio)
+    _check_sizes(n, d, h, mlp_ratio=mlp_ratio)
     token_wise = 3 * n * d * d + n * d * d + 2 * mlp_ratio * n * d * d
     return cost_record(token_wise, n * n * d, n * n * d,
                        nonlinear=_norm_and_gelu_elems(n, n, d, mlp_ratio) + h * n * n)
@@ -161,9 +162,10 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
     depends on where the selected tokens sit on the grid, so pooled runs are
     costed by instrumentation only.
     """
-    _check_block_shape(n, d, h, mlp_ratio)
-    if not 0 <= m <= n:
-        raise ValueError("need 0 <= m <= n")
+    _check_sizes(n, d, h, mlp_ratio=mlp_ratio)
+    check_integer("m", m, 0)
+    if m > n:
+        raise ValueError(f"m must be at most n = {n}, got {m}")
     token_wise = 3 * m * d * d + m * d * d + 2 * mlp_ratio * m * d * d
     if mode == "full":
         qk = av = min(2 * n * m * d, n * n * d)
@@ -187,8 +189,7 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
 
 def memory_report(n: int, d: int, h: int, bytes_per_element: int = 4) -> dict:
     """Bytes of persistent state per gated block, tensor by tensor."""
-    if n <= 0 or d <= 0 or h <= 0 or bytes_per_element <= 0:
-        raise ValueError("sizes must be positive")
+    _check_sizes(n, d, h, bytes_per_element=bytes_per_element)
     token = n * d * bytes_per_element
     attn = n * n * h * bytes_per_element
     rows = n * h * bytes_per_element

@@ -28,21 +28,11 @@ from .kernels import (
     IndexSet,
     TokenMatrix,
     as_index_set,
+    check_integer,
     full_index_set,
-    is_integer,
     is_real,
     row_l2_norms,
 )
-
-
-def is_budget(r) -> bool:
-    """Whether r is a nonnegative integer (a bool is not a budget)."""
-    return is_integer(r) and r >= 0
-
-
-def _check_budget(r):
-    if not is_budget(r):
-        raise ValueError(f"budget r must be a nonnegative integer, got {r!r}")
 
 
 @dataclass
@@ -60,7 +50,7 @@ class Policy:
     def __post_init__(self):
         if self.kind not in ("top_r", "threshold"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        _check_budget(self.r)
+        check_integer("budget r", self.r, 0)
         if not (is_real(self.h) and self.h >= 0):
             raise ValueError(f"h must be a nonnegative number, got {self.h!r}")
 
@@ -69,7 +59,7 @@ class Policy:
         frame on; only a top_r policy has a budget."""
         if self.kind != "top_r":
             raise ValueError(f"a {self.kind} policy has no budget to set")
-        _check_budget(r)
+        check_integer("budget r", r, 0)
         self.r = r
 
     def select(self, norms: np.ndarray) -> IndexSet:
@@ -80,10 +70,9 @@ class Policy:
 
 def top_r_indices(norms: np.ndarray, r: int) -> IndexSet:
     """Ascending indices of the min(r, n) largest norms; ties favor lower index."""
+    check_integer("budget r", r, 0)
     norms = np.asarray(norms, dtype=np.float64)
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    k = min(int(r), norms.size)
+    k = min(r, norms.size)
     if k == 0:
         return np.empty(0, dtype=np.int64)
     # stable sort on -norms keeps equal-norm candidates in index order

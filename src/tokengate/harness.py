@@ -92,18 +92,19 @@ def _paired_steps(model: Model, frames, schedule: list[int] | None = None,
 
 def run_pair(model_cfg: ModelConfig, stream_cfg: StreamConfig,
              schedule: list[int] | None = None,
-             frames: np.ndarray | None = None) -> RunReport:
+             frames: np.ndarray | list | None = None) -> RunReport:
     """Run the exact oracle and the gated model over one stream.
 
     ``schedule`` holds per-frame budget overrides; a short schedule keeps
     its last value for the remaining frames.  A schedule needs a ``top_r``
     policy: under a threshold policy it raises ValueError.  Precomputed
-    ``frames`` override the stream config's generator (fixture import).
-    The summary covers the frames after the first, so a stream of fewer
-    than 2 frames raises ValueError.
+    ``frames`` (an array or nested lists of numbers, as ``Model.step``
+    takes) override the stream config's generator (fixture import).  The
+    summary covers the frames after the first, so a stream of fewer than 2
+    frames raises ValueError.
     """
-    if frames is None:
-        frames = gen_stream(stream_cfg)
+    frames = np.asarray(gen_stream(stream_cfg) if frames is None else frames,
+                        dtype=np.float64)
     if len(frames) < 2:
         raise ValueError("need at least 2 frames: the summary covers the "
                          "frames after the first")
@@ -134,12 +135,12 @@ def run_pair(model_cfg: ModelConfig, stream_cfg: StreamConfig,
 
 def sweep_budget(model_cfg: ModelConfig, stream_cfg: StreamConfig,
                  r_values: list[int]) -> list[dict]:
-    """One fresh paired run per budget; rows sorted by budget, each the
-    budget and three numbers of its run's summary (``SWEEP_COLUMNS``)."""
+    """One fresh paired run per distinct budget; rows sorted by budget, each
+    the budget and three numbers of its run's summary (``SWEEP_COLUMNS``)."""
     if not r_values:
         raise ValueError("need at least one budget value")
     rows = []
-    for r in sorted(r_values):
+    for r in sorted(set(r_values)):
         summary = run_pair(replace(model_cfg, policy=Policy("top_r", r=r)),
                            stream_cfg).summary()
         rows.append({"r": r, **{key: summary[key] for key in SWEEP_COLUMNS[1:]}})

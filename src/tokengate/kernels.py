@@ -3,8 +3,9 @@
 Token matrices are plain float64 ndarrays of shape (tokens, width), row per
 token.  Sparsity is always expressed as a sorted index array plus
 gather/scatter against dense storage; there are no sparse matrix formats
-anywhere in the library.  ``is_integer`` and ``is_real`` are the one
-integer and one number check that budgets and config fields share.
+anywhere in the library.  ``is_integer`` and ``is_real`` are the one integer
+and one number check; ``check_integer`` and ``check_heads`` are the one size
+rule of every shape the library takes.
 """
 
 from __future__ import annotations
@@ -28,13 +29,21 @@ def is_real(x) -> bool:
     return is_integer(x) or isinstance(x, (float, np.floating))
 
 
-def check_integer_fields(obj, names):
-    """Raise ValueError naming the first attribute in ``names`` of obj that
-    does not hold an integer."""
-    for name in names:
-        if not is_integer(getattr(obj, name)):
-            raise ValueError(f"{name} must be an integer, "
-                             f"got {getattr(obj, name)!r}")
+def check_integer(name: str, value, minimum: int | None = None):
+    """Raise ValueError naming ``name`` unless value is an integer (a bool is
+    not one) and, when a minimum is given, at least that."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
+def check_heads(d: int, heads: int):
+    """Raise ValueError unless heads is an integer of at least 1 over which
+    width d splits evenly."""
+    check_integer("heads", heads, 1)
+    if d % heads:
+        raise ValueError("width must divide evenly across heads")
 
 
 def as_index_set(indices, n: int) -> IndexSet:

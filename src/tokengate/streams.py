@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import check_integer_fields, is_real
+from .kernels import check_integer, is_real
 from .rng import SplitRng
 
 STREAM_MODES = ("static", "sparse_change", "drift", "mixed")
@@ -37,7 +37,8 @@ class StreamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integer_fields(self, ("n", "d", "frames", "seed"))
+        for name, minimum in (("n", 1), ("d", 1), ("frames", 1), ("seed", None)):
+            check_integer(name, getattr(self, name), minimum)
         if self.mode not in STREAM_MODES:
             raise ValueError(f"unknown stream mode {self.mode!r}")
         for name in ("rho", "sigma", "eps"):
@@ -49,10 +50,6 @@ class StreamConfig:
         for name in ("sigma", "eps"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, "
-                                 f"got {getattr(self, name)}")
-        for name in ("n", "d", "frames"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, "
                                  f"got {getattr(self, name)}")
 
 

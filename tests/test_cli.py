@@ -206,6 +206,19 @@ def test_run_stream_round_trip(config_path, tmp_path):
     assert json.loads(open(out_a).read()) == json.loads(open(out_b).read())
 
 
+def test_save_and_load_stream_are_exclusive(config_path, tmp_path, capsys):
+    # one run either exports its frames or imports a fixture, never both
+    archive = str(tmp_path / "a.zip")
+    assert main(["run", "--config", config_path, "--save-stream", archive]) == 0
+    capsys.readouterr()
+    saved = tmp_path / "b.zip"
+    with pytest.raises(SystemExit):
+        main(["run", "--config", config_path, "--load-stream", archive,
+              "--save-stream", str(saved)])
+    assert not saved.exists()
+    assert capsys.readouterr().out == ""
+
+
 def test_sweep_csv(config_path, tmp_path):
     out_csv = str(tmp_path / "sweep.csv")
     code = main(["sweep", "--config", config_path, "--r-values", "2,8,16",

@@ -120,6 +120,21 @@ class TestRunPair:
         with pytest.raises(ValueError, match="2 frames"):
             sweep_budget(small_model(), one, [4])
 
+    def test_nested_list_frames_match_array_frames(self):
+        frames = gen_stream(small_stream())
+        as_array = run_pair(small_model(), small_stream(), frames=frames)
+        as_lists = run_pair(small_model(), small_stream(),
+                            frames=frames.tolist())
+        for a, b in zip(as_array.rows, as_lists.rows):
+            assert {**a, "wall_ms": 0} == {**b, "wall_ms": 0}
+        assert as_array.gated_ledger.frames == as_lists.gated_ledger.frames
+
+    def test_ragged_frames_rejected(self):
+        frames = gen_stream(small_stream()).tolist()
+        frames[2] = frames[2][:-1]
+        with pytest.raises(ValueError):
+            run_pair(small_model(), small_stream(), frames=frames)
+
     def test_savings_reported(self):
         report = run_pair(small_model(r=2), small_stream())
         assert report.summary()["savings_ratio"] > 1.0
@@ -165,6 +180,11 @@ class TestSweep:
             lows.append(rows[0]["mean_rel_l2_error"])
             highs.append(rows[1]["mean_rel_l2_error"])
         assert np.mean(highs) <= np.mean(lows)
+
+    def test_repeated_budget_runs_once(self):
+        rows = sweep_budget(small_model(), small_stream(), [4, 4, 2])
+        assert [row["r"] for row in rows] == [2, 4]
+        assert rows == sweep_budget(small_model(), small_stream(), [2, 4])
 
     def test_empty_budget_list_rejected(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,78 @@
+"""Every entry point that takes a size rejects a non-integer, a bool, a value
+below the size's minimum and a width that does not split over the heads,
+with a ValueError naming the field or the heads rule."""
+
+import numpy as np
+import pytest
+
+from tokengate.attention import AttentionState, AttentionWeights, head_split
+from tokengate.block import ModelConfig
+from tokengate.costs import count_block_baseline, count_block_eventful, memory_report
+from tokengate.gates import Policy
+from tokengate.streams import StreamConfig
+
+
+def _attention_weights(d=8, heads=2):
+    w, b = np.zeros((d, d)), np.zeros(d)
+    return AttentionWeights(w, w, w, w, heads, b, b, b, b)
+
+
+# entry point -> (call taking sizes by name, each size's minimum or None);
+# a size left out takes a valid default
+ENTRY_POINTS = {
+    "ModelConfig": (
+        lambda **sizes: ModelConfig(**sizes),
+        {"blocks": 0, "n": 1, "d": 1, "heads": 1, "mlp_ratio": 1, "pool_p": 1,
+         "seed": None, "num_classes": 1}),
+    "StreamConfig": (
+        lambda **sizes: StreamConfig(**sizes),
+        {"n": 1, "d": 1, "frames": 1, "seed": None}),
+    "AttentionWeights": (_attention_weights, {"heads": 1}),
+    "head_split": (
+        lambda d=8, heads=2: head_split(np.zeros((4, d)), heads),
+        {"heads": 1}),
+    "AttentionState": (
+        lambda n=16, d=8, heads=2, pool=1: AttentionState(n, d, heads, Policy(),
+                                                          pool=pool),
+        {"n": 1, "d": 1, "heads": 1, "pool": 1}),
+    "count_block_baseline": (
+        lambda n=16, d=8, heads=2, mlp_ratio=4: count_block_baseline(
+            n, d, heads, mlp_ratio),
+        {"n": 1, "d": 1, "heads": 1, "mlp_ratio": 1}),
+    "count_block_eventful": (
+        lambda n=16, m=4, d=8, heads=2, mlp_ratio=4: count_block_eventful(
+            n, m, d, heads, mlp_ratio),
+        {"n": 1, "m": 0, "d": 1, "heads": 1, "mlp_ratio": 1}),
+    "memory_report": (
+        lambda n=16, d=8, heads=2, bytes_per_element=4: memory_report(
+            n, d, heads, bytes_per_element),
+        {"n": 1, "d": 1, "heads": 1, "bytes_per_element": 1}),
+}
+
+BAD_SIZES = [
+    pytest.param(entry, field, value, f"{field} must be an integer",
+                 id=f"{entry}-{field}-{label}")
+    for entry, (_, minimums) in ENTRY_POINTS.items()
+    for field in minimums
+    for value, label in ((16.5, "fraction"), (True, "bool"))
+] + [
+    pytest.param(entry, field, minimum - 1, f"{field} must be at least {minimum}",
+                 id=f"{entry}-{field}-below")
+    for entry, (_, minimums) in ENTRY_POINTS.items()
+    for field, minimum in minimums.items() if minimum is not None
+]
+
+
+@pytest.mark.parametrize("entry, field, value, message", BAD_SIZES)
+def test_bad_size_rejected_naming_its_field(entry, field, value, message):
+    call, _ = ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(**{field: value})
+
+
+@pytest.mark.parametrize("entry", [entry for entry, (_, minimums)
+                                   in ENTRY_POINTS.items() if "heads" in minimums])
+def test_width_that_does_not_split_over_heads_rejected(entry):
+    call, _ = ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="width must divide evenly across heads"):
+        call(d=5, heads=2)
