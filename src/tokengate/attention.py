@@ -210,12 +210,12 @@ def _pool_grid(n: int, pool: int) -> int:
 def pool_tokens(x: TokenMatrix, grid: int, pool: int) -> TokenMatrix:
     """Mean-pool a row-major (grid x grid) token field down by pool x pool.
 
-    Pool 1 is the identity and returns x itself.
+    Pool 1 is the identity and returns x itself; any other pool must pass
+    ``_pool_grid`` on the grid's tokens.
     """
     if pool == 1:
         return x
-    if grid % pool:
-        raise ValueError("pool size must divide the grid side")
+    _pool_grid(grid * grid, pool)
     n, d = x.shape
     if n != grid * grid:
         raise ValueError("token count must equal grid * grid")
@@ -227,13 +227,13 @@ def pool_tokens(x: TokenMatrix, grid: int, pool: int) -> TokenMatrix:
 def pool_index_set(idx: IndexSet, grid: int, pool: int) -> IndexSet:
     """Pooled positions whose patch intersects idx (max-pool of the mask).
 
-    Pool 1 is the identity and returns idx itself.
+    Pool 1 is the identity and returns idx itself; any other pool must pass
+    ``_pool_grid`` on the grid's tokens.
     """
     if pool == 1:
         return idx
     idx = as_index_set(idx, grid * grid)
-    if grid % pool:
-        raise ValueError("pool size must divide the grid side")
+    _pool_grid(grid * grid, pool)
     g = grid // pool
     pooled = (idx // grid // pool) * g + (idx % grid) // pool
     return np.unique(pooled)

@@ -4,9 +4,11 @@
 is the temporal-redundancy-aware counterpart: gate-buffer pairs wrap every
 contiguous run of token-wise work (the query/key/value transform, the
 output projection, the MLP), and the attention products are maintained by
-AttentionState.  Layer norms are recomputed over all tokens every frame;
-the buffers sit before both residual additions so each skip sees a full
-token tensor.
+AttentionState.  Layer norm is token-wise too, so the qkv and MLP gates sit
+on the residual stream in front of their norms: each norm runs on the picked
+rows only, and a gate's error (what a threshold h is compared with) is the
+change of a token's residual before normalization.  The buffers sit before
+both residual additions so each skip sees a full token tensor.
 
 Modes:
   full            gated token-wise ops plus incremental attention products
@@ -145,21 +147,21 @@ class GatedBlock:
 
     def step(self, x: TokenMatrix) -> TokenMatrix:
         w, a, ledger = self.w, self.w.attn, self.ledger
-        xn = layer_norm(x, w.ln1_gamma, w.ln1_beta)
+        idx, picked = self.gate_qkv(x)
+        xn = layer_norm(picked, w.ln1_gamma, w.ln1_beta)
         ledger.count_nonlinear(xn.size)
-        idx, picked = self.gate_qkv(xn)
-        y_att = self.attn.step(idx, _project(picked, a.wq, a.bq, ledger),
-                               _project(picked, a.wk, a.bk, ledger),
-                               _project(picked, a.wv, a.bv, ledger))
+        y_att = self.attn.step(idx, _project(xn, a.wq, a.bq, ledger),
+                               _project(xn, a.wk, a.bk, ledger),
+                               _project(xn, a.wv, a.bv, ledger))
 
         idx_p, picked_p = self.gate_p(y_att)
         proj = _project(picked_p, a.wp, a.bp, ledger)
         y = self.p_buf(idx_p, proj) + x
 
-        yn = layer_norm(y, w.ln2_gamma, w.ln2_beta)
+        idx_m, picked_m = self.gate_mlp(y)
+        yn = layer_norm(picked_m, w.ln2_gamma, w.ln2_beta)
         ledger.count_nonlinear(yn.size)
-        idx_m, picked_m = self.gate_mlp(yn)
-        mlp_out = _mlp_forward(picked_m, w, ledger)
+        mlp_out = _mlp_forward(yn, w, ledger)
         return self.mlp_buf(idx_m, mlp_out) + y
 
 

@@ -15,10 +15,10 @@ pays more than the exact block's N*N*D for either product.
 Gate error subtractions and the extra additions of the incremental
 attention-value update are tracked separately as plain adds.  Nonlinear
 work is counted apart from the MACs as ``nonlinear_elems``: the elements
-through layer norm and GELU, plus the exponentials the softmax evaluates
-(every score of a full softmax; on the patched path of "full" mode only
-the recomputed rows, the changed columns and the value gate's columns
-outside them).
+through layer norm and GELU (in a gated block, only the rows their gates
+pick), plus the exponentials the softmax evaluates (every score of a full
+softmax; on the patched path of "full" mode only the recomputed rows, the
+changed columns and the value gate's columns outside them).
 
 A stream's first frame, which fills every state tensor, is counted like
 any other; steady-state totals start after it.
@@ -101,9 +101,9 @@ class NullLedger(CostLedger):
         pass
 
 
-def _norm_and_gelu_elems(n: int, m: int, d: int, mlp_ratio: int) -> int:
-    """Two layer norms over all n tokens, GELU over the m MLP rows."""
-    return 2 * n * d + m * mlp_ratio * d
+def _norm_and_gelu_elems(m: int, d: int, mlp_ratio: int) -> int:
+    """Two layer norms and GELU over the m rows their gates pick."""
+    return 2 * m * d + m * mlp_ratio * d
 
 
 def patched_softmax_exps(n: int, n_kv: int, rows: int, cols: int,
@@ -136,7 +136,7 @@ def count_block_baseline(n: int, d: int, h: int, mlp_ratio: int = 4) -> dict:
     _check_sizes(n, d, h, mlp_ratio=mlp_ratio)
     token_wise = 3 * n * d * d + n * d * d + 2 * mlp_ratio * n * d * d
     return cost_record(token_wise, n * n * d, n * n * d,
-                       nonlinear=_norm_and_gelu_elems(n, n, d, mlp_ratio) + h * n * n)
+                       nonlinear=_norm_and_gelu_elems(n, d, mlp_ratio) + h * n * n)
 
 
 def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
@@ -184,7 +184,7 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
     else:
         raise ValueError(f"no closed-form cost for mode {mode!r}")
     return cost_record(token_wise, qk, av, gate_norms, adds,
-                       _norm_and_gelu_elems(n, m, d, mlp_ratio) + h * exps)
+                       _norm_and_gelu_elems(m, d, mlp_ratio) + h * exps)
 
 
 def memory_report(n: int, d: int, h: int, bytes_per_element: int = 4) -> dict:

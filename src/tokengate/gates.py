@@ -7,13 +7,14 @@ recent downstream result for every token and patches in fresh rows as they
 arrive.  Together they let the rest of the pipeline run on the selected
 subset only.
 
-Every gate and buffer holds an (n x width) zero store from construction,
-and ``_write_rows`` is the one rule that writes its rows.  A gate's first
-call selects every token against the zero reference, so the reference takes
-the input and the change is the input.  After it, a plain ``Gate`` never
-selects a token whose difference from its reference has norm 0, as that
-token's buffered output was computed from the same input: a ``top_r`` gate
-takes the min(r, changed) tokens of largest error.  ``DeltaGate`` and
+Every gate and buffer holds an (n x width) zero store from construction
+(``_zero_store``, which checks both sizes), and ``_write_rows`` is the one
+rule that writes its rows.  A gate's first call selects every token against
+the zero reference, so the reference takes the input and the change is the
+input.  After it, a plain ``Gate`` never selects a token whose difference
+from its reference has norm 0, as that token's buffered output was computed
+from the same input: a ``top_r`` gate takes the min(r, changed) tokens of
+largest error.  ``DeltaGate`` and
 ``StgtGate`` fill their budget with such tokens too (see their docstrings).
 """
 
@@ -89,6 +90,14 @@ def threshold_indices(norms: np.ndarray, h: float) -> IndexSet:
     return np.flatnonzero(norms > h).astype(np.int64)
 
 
+def _zero_store(n: int, width: int) -> TokenMatrix:
+    """The (n x width) zero store of a gate reference or a buffer; raises
+    ValueError unless both sizes are integers of at least 1."""
+    check_integer("n", n, 1)
+    check_integer("width", width, 1)
+    return np.zeros((n, width))
+
+
 def _write_rows(store: TokenMatrix, idx: IndexSet, rows: TokenMatrix):
     """The write rule of a per-token store (a gate reference or a buffer):
     set the tokens idx of the (n x width) store to ``rows`` (|idx| x width),
@@ -130,7 +139,7 @@ class Gate:
         self.n = n
         self.policy = policy
         self.ledger = ledger or NullLedger()
-        self.u = np.zeros((n, width))
+        self.u = _zero_store(n, width)
         self.last_idx: IndexSet | None = None
 
     def _select(self, c: TokenMatrix) -> tuple[TokenMatrix, IndexSet]:
@@ -228,7 +237,7 @@ class Buffer:
     """Dense holder of the most recent known value of every token."""
 
     def __init__(self, n: int, width: int):
-        self.b = np.zeros((n, width))
+        self.b = _zero_store(n, width)
 
     def __call__(self, idx: IndexSet, tokens: TokenMatrix) -> TokenMatrix:
         _write_rows(self.b, idx, tokens)

@@ -349,8 +349,10 @@ class TestPooling:
         np.testing.assert_allclose(mean_block[:, 0], [2.5, 4.5, 10.5, 12.5])
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            pool_tokens(np.zeros((6, 2)), 3, 2)  # pool does not divide grid
+        with pytest.raises(ValueError, match="pool size must divide the grid side"):
+            pool_tokens(np.zeros((9, 2)), 3, 2)
+        with pytest.raises(ValueError, match="pool size must divide the grid side"):
+            pool_index_set(np.array([0]), 3, 2)
         with pytest.raises(ValueError):
             pool_tokens(np.zeros((8, 2)), 3, 3)  # token count not grid**2
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tokengate import block as block_module
 from tokengate.attention import AttentionWeights, msa_baseline
 from tokengate.block import (
     MODES,
@@ -119,11 +120,10 @@ class TestGatedBlock:
         block.policy.set_budget(16)
         before = block.gate_qkv.u.copy()
         block.step(stream[2])
-        xn = layer_norm(stream[2], w.ln1_gamma, w.ln1_beta)
-        changed = np.flatnonzero((xn != before).any(axis=1))
+        changed = np.flatnonzero((stream[2] != before).any(axis=1))
         assert 4 < changed.size < 16
         np.testing.assert_array_equal(block.gate_qkv.last_idx, changed)
-        np.testing.assert_array_equal(block.gate_qkv.u, xn)
+        np.testing.assert_array_equal(block.gate_qkv.u, stream[2])
         assert block.selected_counts() == {
             "selected_qkv": changed.size, "selected_p": 16, "selected_mlp": 16}
 
@@ -142,8 +142,8 @@ class TestGatedBlock:
 
     def test_schedule_full_throttle_full(self):
         # the qkv gate takes min(r, changed) after the first frame: r = 2 of
-        # the 4 redrawn tokens, then at r = N every token whose normalized
-        # input differs from its reference; the MLP gate sees every token change
+        # the 4 redrawn tokens, then at r = N every token whose block input
+        # differs from its reference; the MLP gate sees every token change
         w = make_weights(13)
         n = 16
         block = GatedBlock(w, n, Policy("top_r", r=n))
@@ -151,14 +151,43 @@ class TestGatedBlock:
         counts, changed = [], [n]
         for t, (frame, r) in enumerate(zip(stream, [n, 2, n])):
             if t > 0:
-                xn = layer_norm(frame, w.ln1_gamma, w.ln1_beta)
-                changed.append(int((xn != block.gate_qkv.u).any(axis=1).sum()))
+                changed.append(int((frame != block.gate_qkv.u).any(axis=1).sum()))
             block.policy.set_budget(r)
             block.step(frame)
             counts.append(block.selected_counts())
         assert changed[1] == 4 and changed[2] > 2
         assert [c["selected_qkv"] for c in counts] == [n, 2, changed[2]]
         assert [c["selected_mlp"] for c in counts] == [n, 2, n]
+
+    def test_layer_norms_see_only_the_picked_rows(self, monkeypatch):
+        # below r = N each norm runs on its gate's picks, and row for row it
+        # gives what the norm of the whole residual stream gives there
+        w = make_weights(33)
+        block = GatedBlock(w, 16, Policy("top_r", r=3))
+        stream = self._stream(34, frames=3)
+        for frame in stream[:2]:
+            block.step(frame)
+        calls = []
+
+        def recording_norm(x, gamma, beta):
+            out = layer_norm(x, gamma, beta)
+            calls.append((x.copy(), gamma, out))
+            return out
+
+        monkeypatch.setattr(block_module, "layer_norm", recording_norm)
+        frame = stream[2]
+        block.step(frame)
+        (x1, g1, n1), (x2, g2, n2) = calls
+        assert g1 is w.ln1_gamma and g2 is w.ln2_gamma
+        idx, idx_m = block.gate_qkv.last_idx, block.gate_mlp.last_idx
+        assert 0 < idx.size <= 3 and idx_m.size == 3
+        np.testing.assert_array_equal(x1, frame[idx])
+        np.testing.assert_array_equal(
+            n1, layer_norm(frame, w.ln1_gamma, w.ln1_beta)[idx])
+        y = block.p_buf.b + frame    # the MLP residual, as the step forms it
+        np.testing.assert_array_equal(x2, y[idx_m])
+        np.testing.assert_array_equal(
+            n2, layer_norm(y, w.ln2_gamma, w.ln2_beta)[idx_m])
 
     def test_tokenwise_savings_accounting(self):
         # after the first frame the qkv gate takes the 4 tokens redrawn per

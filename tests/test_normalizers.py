@@ -230,10 +230,13 @@ def test_hires_shape_evaluates_at_most_half_the_exponentials():
                               policy=Policy("top_r", r=r)), ledger=ledger)
     stream = StreamConfig(n=n, d=d, frames=4, mode="sparse_change", rho=0.05,
                           sigma=1.0, seed=39)
-    for frame in gen_stream(stream):
+    for t, frame in enumerate(gen_stream(stream)):
         model.step(frame)
-    norm_and_gelu = 2 * n * d + r * 4 * d
-    for snap in ledger.frames[1:]:
-        assert snap["nonlinear_elems"] - norm_and_gelu <= heads * n * n // 2
-    closed = count_block_eventful(n, r, d, heads)["nonlinear_elems"] - norm_and_gelu
+        if t:    # each norm runs on its gate's picks, GELU on the MLP gate's
+            picked = model.selected_counts()
+            norm_and_gelu = (picked["selected_qkv"] + 5 * picked["selected_mlp"]) * d
+            exps = ledger.frames[-1]["nonlinear_elems"] - norm_and_gelu
+            assert exps <= heads * n * n // 2
+    # the closed form charges both norms and GELU (ratio 4) r rows each
+    closed = count_block_eventful(n, r, d, heads)["nonlinear_elems"] - 6 * r * d
     assert closed <= heads * n * n // 2

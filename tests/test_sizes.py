@@ -8,7 +8,7 @@ import pytest
 from tokengate.attention import AttentionState, AttentionWeights, head_split
 from tokengate.block import ModelConfig
 from tokengate.costs import count_block_baseline, count_block_eventful, memory_report
-from tokengate.gates import Policy
+from tokengate.gates import Buffer, DeltaGate, Gate, Policy, StgtGate
 from tokengate.streams import StreamConfig
 
 
@@ -43,6 +43,10 @@ ENTRY_POINTS = {
         lambda n=16, m=4, d=8, heads=2, mlp_ratio=4: count_block_eventful(
             n, m, d, heads, mlp_ratio),
         {"n": 1, "m": 0, "d": 1, "heads": 1, "mlp_ratio": 1}),
+    **{cls.__name__: (
+        lambda n=16, width=8, cls=cls: cls(n, width, Policy("top_r", r=2)),
+        {"n": 1, "width": 1}) for cls in (Gate, DeltaGate, StgtGate)},
+    "Buffer": (lambda n=16, width=8: Buffer(n, width), {"n": 1, "width": 1}),
     "memory_report": (
         lambda n=16, d=8, heads=2, bytes_per_element=4: memory_report(
             n, d, heads, bytes_per_element),
