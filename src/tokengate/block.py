@@ -24,6 +24,7 @@ trained; weights are drawn from a seeded portable generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -73,7 +74,8 @@ def _check_mode(mode: str, pool_p: int):
 
 @dataclass
 class ModelConfig:
-    """Shape, policy, and mode of the toy stacked model."""
+    """Shape, policy, and mode of the toy stacked model.  Its linear head
+    has ``num_classes`` outputs, the same for every config."""
 
     blocks: int = 2
     n: int = 16
@@ -84,12 +86,11 @@ class ModelConfig:
     pool_p: int = 1
     seed: int = 0
     policy: Policy = field(default_factory=lambda: Policy("top_r", r=4))
-    num_classes: int = 10
+    num_classes: ClassVar[int] = 10
 
     def __post_init__(self):
         for name, minimum in (("blocks", 0), ("n", 1), ("d", 1),
-                              ("mlp_ratio", 1), ("pool_p", 1), ("seed", None),
-                              ("num_classes", 1)):
+                              ("mlp_ratio", 1), ("pool_p", 1), ("seed", None)):
             check_integer(name, getattr(self, name), minimum)
         check_heads(self.d, self.heads)
         _check_mode(self.mode, self.pool_p)

@@ -73,11 +73,8 @@ def top_r_indices(norms: np.ndarray, r: int) -> IndexSet:
     """Ascending indices of the min(r, n) largest norms; ties favor lower index."""
     check_integer("budget r", r, 0)
     norms = np.asarray(norms, dtype=np.float64)
-    k = min(r, norms.size)
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
     # stable sort on -norms keeps equal-norm candidates in index order
-    picked = np.argsort(-norms, kind="stable")[:k].astype(np.int64)
+    picked = np.argsort(-norms, kind="stable")[:r].astype(np.int64)
     picked.sort()
     return picked
 
@@ -108,10 +105,7 @@ def _write_rows(store: TokenMatrix, idx: IndexSet, rows: TokenMatrix):
     if rows.shape != (idx.size, width):
         raise ValueError(f"expected rows of shape {(idx.size, width)}, "
                          f"got {rows.shape}")
-    if idx.size == n:
-        np.copyto(store, rows)
-    else:
-        store[idx] = rows
+    store[idx] = rows
 
 
 class Gate:

@@ -71,11 +71,11 @@ def softmax_rows(x: TokenMatrix) -> TokenMatrix:
     """Row-wise softmax, stabilized by subtracting each row's max.
 
     The shifted copy is the only temporary: it is exponentiated and
-    normalized in place.
+    normalized in place.  An input with no rows gives an empty result; a
+    row with no entries has no max, so an input whose last axis has length
+    0 raises numpy's ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        return x.copy()
     e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)

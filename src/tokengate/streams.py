@@ -58,10 +58,6 @@ def gen_stream(cfg: StreamConfig) -> np.ndarray:
     rng = SplitRng(cfg.seed).substream(2)
     frames = np.empty((cfg.frames, cfg.n, cfg.d))
     frames[0] = rng.normal((cfg.n, cfg.d))
-    if cfg.mode == "static":
-        frames[1:] = frames[0]
-        return frames
-
     if cfg.mode in ("drift", "mixed"):
         directions = rng.normal((cfg.n, cfg.d))
         lengths = np.sqrt((directions ** 2).sum(axis=1, keepdims=True))

@@ -319,11 +319,15 @@ class TestModel:
                        pool_p=pool)
 
     @pytest.mark.parametrize("field, value", [
-        ("blocks", -1), ("n", 0), ("d", 0), ("heads", 0), ("mlp_ratio", 0),
-        ("num_classes", 0)])
+        ("blocks", -1), ("n", 0), ("d", 0), ("heads", 0), ("mlp_ratio", 0)])
     def test_empty_or_negative_shape_rejected(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} "):
             ModelConfig(**{field: value})
+
+    def test_num_classes_is_fixed(self):
+        assert ModelConfig().num_classes == 10
+        with pytest.raises(TypeError, match="num_classes"):
+            ModelConfig(num_classes=3)
 
     def test_frame_shape_validated(self):
         model = Model(ModelConfig(blocks=1, n=8, d=4, heads=2, seed=26))

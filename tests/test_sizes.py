@@ -23,7 +23,7 @@ ENTRY_POINTS = {
     "ModelConfig": (
         lambda **sizes: ModelConfig(**sizes),
         {"blocks": 0, "n": 1, "d": 1, "heads": 1, "mlp_ratio": 1, "pool_p": 1,
-         "seed": None, "num_classes": 1}),
+         "seed": None}),
     "StreamConfig": (
         lambda **sizes: StreamConfig(**sizes),
         {"n": 1, "d": 1, "frames": 1, "seed": None}),
