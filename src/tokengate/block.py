@@ -95,6 +95,8 @@ class ModelConfig:
         check_heads(self.d, self.heads)
         _check_mode(self.mode, self.pool_p)
         _pool_grid(self.n, self.pool_p)
+        if not isinstance(self.policy, Policy):
+            raise ValueError(f"policy must be a Policy, got {self.policy!r}")
 
 
 def _mlp_forward(tokens, w, ledger):

@@ -18,6 +18,7 @@ import numpy as np
 from .block import Model, ModelConfig
 from .costs import CostLedger, NullLedger
 from .gates import Policy
+from .kernels import check_integer
 from .streams import StreamConfig, gen_stream
 
 CSV_COLUMNS = [
@@ -159,10 +160,10 @@ def measure_walltime(model_cfg: ModelConfig, stream_cfg: StreamConfig,
     repetition runs one paired pass per gated variant, in alternating
     order, so oracle and gated step are timed side by side on every frame.
     The first frame sets up the gated state and is not timed, so the
-    stream needs at least 2 frames.
+    stream needs at least 2 frames; ``repetitions`` is an integer of at
+    least 3.
     """
-    if repetitions < 3:
-        raise ValueError("need at least 3 repetitions")
+    check_integer("repetitions", repetitions, 3)
     if stream_cfg.frames < 2:
         raise ValueError("need at least 2 frames: the first is not timed")
     frames = gen_stream(stream_cfg)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernels import check_integer
+
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -34,8 +36,7 @@ class SplitRng:
 
     def next_uint64(self, n: int) -> np.ndarray:
         """Draw n raw 64-bit words and advance the state by n steps."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        check_integer("n", n, 0)
         with np.errstate(over="ignore"):
             steps = (np.arange(1, n + 1, dtype=np.uint64) * _GAMMA) & _MASK
             words = _mix(self._state + steps)
@@ -49,7 +50,10 @@ class SplitRng:
 
     def normal(self, shape) -> np.ndarray:
         """Standard normal draws via Box-Muller, reshaped to `shape`."""
-        n = int(np.prod(shape, dtype=np.int64)) if np.ndim(shape) else int(shape)
+        dims = tuple(shape) if np.ndim(shape) else (shape,)
+        for size in dims:
+            check_integer("shape", size, 0)
+        n = int(np.prod(dims, dtype=np.int64))
         pairs = (n + 1) // 2
         u1 = self.uniform(pairs)
         u2 = self.uniform(pairs)
@@ -64,14 +68,13 @@ class SplitRng:
         Modulo bias is below 2**-50 for any desk-scale bound; accepted for
         the sake of a trivially portable definition.
         """
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        check_integer("bound", bound, 1)
         return (self.next_uint64(n) % np.uint64(bound)).astype(np.int64)
 
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct ints from [0, n), ascending (partial Fisher-Yates)."""
-        if not 0 <= k <= n:
-            raise ValueError("need 0 <= k <= n")
+        check_integer("k", k, 0)
+        check_integer("n", n, k)
         pool = np.arange(n, dtype=np.int64)
         draws = self.next_uint64(k)
         for i in range(k):

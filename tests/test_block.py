@@ -324,6 +324,11 @@ class TestModel:
         with pytest.raises(ValueError, match=rf"^{field} "):
             ModelConfig(**{field: value})
 
+    @pytest.mark.parametrize("policy", ["top_r", None, {"kind": "top_r", "r": 4}])
+    def test_policy_that_is_not_a_policy_rejected(self, policy):
+        with pytest.raises(ValueError, match="^policy must be a Policy"):
+            ModelConfig(policy=policy)
+
     def test_num_classes_is_fixed(self):
         assert ModelConfig().num_classes == 10
         with pytest.raises(TypeError, match="num_classes"):
