@@ -12,8 +12,9 @@ The incremental path of "full" mode takes each product from scratch on a
 frame where patching would cost at least as much, so per block it never
 pays more than the exact block's N*N*D for either product.
 
-Gate error subtractions and the extra additions of the incremental
-attention-value update are tracked separately as plain adds.  Nonlinear
+Gate error subtractions, the delta gates' change subtractions and the
+extra additions of the incremental attention-value update are tracked
+separately as plain adds.  Nonlinear
 work is counted apart from the MACs as ``nonlinear_elems``: the elements
 through layer norm and GELU (in a gated block, only the rows their gates
 pick), plus the exponentials the softmax evaluates (every score of a full
@@ -150,7 +151,8 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
     In "full" mode the similarity matrix is patched by row/column scatter
     (2NMD) and the attention-value product by the aligned delta identity
     (2NMD) while 2M < N; from 2M = N on each is one product of the exact
-    block's N*N*D, and the forced-gate and delta-product adds vanish.  Each
+    block's N*N*D, and the forced-gate and delta-product adds vanish; the
+    value gate's M*D change subtractions are paid on every frame.  Each
     head's softmax is patched unless ``patched_softmax_exps`` with all M
     value columns charged costs at least the N*N exponentials of a full
     softmax; a patch evaluates none of the value columns afresh, as they
@@ -170,7 +172,8 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
     if mode == "full":
         qk = av = min(2 * n * m * d, n * n * d)
         gate_norms = 4 * n * d            # qkv, value, projection, MLP gates
-        adds = 4 * n * d                  # their error subtractions
+        adds = 4 * n * d + m * d          # their error subtractions and
+                                          # the value gate's changes
         if 0 < 2 * m < n:                 # av by the delta identity:
             adds += h * m * n             # the forced gates' changes,
             adds += 2 * n * d + m * d     # the delta products' extra adds

@@ -178,7 +178,8 @@ class DeltaGate(Gate):
     Returns the full updated reference plus the gathered per-token change
     (current minus previous reference) at the selected indices: exactly the
     pieces an incremental product update needs.  The first call's previous
-    reference is zero, so its change equals the input.  It fills its budget
+    reference is zero, so its change equals the input.  A call counts its
+    changes, one subtraction per element, besides the selection's cost.  It fills its budget
     with unchanged tokens too: in attention its picks also choose the
     attention gate's columns to refresh, and A changes where V did not.
     ``top_r`` breaks the tie among their zero norms by index: below r = N
@@ -190,12 +191,15 @@ class DeltaGate(Gate):
 
     def __call__(self, c: TokenMatrix) -> tuple[IndexSet, TokenMatrix, TokenMatrix]:
         c, idx = self._select(c)
-        return idx, self.u, self.forced(c[idx], idx)
+        changes = self.forced(c[idx], idx)
+        self.ledger.count_adds(changes.size)
+        return idx, self.u, changes
 
     def forced(self, rows: TokenMatrix, idx: IndexSet) -> TokenMatrix:
         """``overwrite`` that also returns the changes (rows minus the
         reference they replace), one subtraction per element; the only
-        rule that turns a write into changes.  The caller counts them."""
+        rule that turns a write into changes.  The caller counts them: a
+        call on the gate's own picks counts them into its ledger."""
         idx = as_index_set(idx, self.n)
         old = self.u[idx]
         self.overwrite(rows, idx)

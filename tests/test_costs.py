@@ -56,8 +56,9 @@ class TestEventfulFormula:
     @pytest.mark.parametrize("n", [8, 9, 16])
     def test_delta_adds_only_while_patching_pays(self, n):
         d, heads = 16, 2
-        gates_only = 4 * n * d    # the four gates' error subtractions
         for m in range(n + 1):
+            # the four gates' error subtractions, the value gate's changes
+            gates_only = 4 * n * d + m * d
             adds = count_block_eventful(n, m, d, heads)["adds_overhead"]
             if 0 < 2 * m < n:     # forced-gate changes and delta-product adds
                 assert adds == gates_only + heads * m * n + 2 * n * d + m * d
@@ -108,12 +109,16 @@ class TestInstrumentedAgreement:
         assert ledger.frames[-1] == formula
 
     def test_first_frame_ledgered_separately(self):
-        # the first frame pays the exact block's work and no gate overhead;
-        # the steady-state totals are every later frame
+        # the first frame pays the exact block's work and no gate overhead
+        # but the value gate's changes, its whole input; the steady-state
+        # totals are every later frame
         for mode in ("full", "tokenwise_only", "stgt"):
             for n, d in ((16, 16), (9, 6), (32, 8)):
                 ledger, _ = run_instrumented_block(n, d, 2, 4, mode, n // 4)
-                assert ledger.frames[0] == count_block_baseline(n, d, 2, 4)
+                first = count_block_baseline(n, d, 2, 4)
+                if mode == "full":
+                    first["adds_overhead"] = n * d
+                assert ledger.frames[0] == first
                 steady = ledger.steady_state_totals()
                 assert steady == {key: sum(snap[key] for snap in ledger.frames[1:])
                                   for key in steady}

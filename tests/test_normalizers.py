@@ -215,8 +215,9 @@ def test_ledger_is_closed_form_plus_resynced_rows():
             rng = SplitRng(37)
             for t in range(4):
                 model.step(rng.normal((n, d)))
-                if t == 0:
+                if t == 0:    # and the value gate's changes, its whole input
                     want = count_block_baseline(n, d, heads, ratio)
+                    want["adds_overhead"] = n * d
                 else:
                     want = count_block_eventful(n, m, d, heads, ratio)
                     want["nonlinear_elems"] += n * model.blocks[0].attn.resynced
