@@ -9,6 +9,8 @@ from tokengate.attention import AttentionState, AttentionWeights, head_split
 from tokengate.block import ModelConfig
 from tokengate.costs import count_block_baseline, count_block_eventful, memory_report
 from tokengate.gates import Buffer, DeltaGate, Gate, Policy, StgtGate
+from tokengate.harness import measure_walltime
+from tokengate.rng import SplitRng
 from tokengate.streams import StreamConfig
 
 
@@ -51,6 +53,18 @@ ENTRY_POINTS = {
         lambda n=16, d=8, heads=2, bytes_per_element=4: memory_report(
             n, d, heads, bytes_per_element),
         {"n": 1, "d": 1, "heads": 1, "bytes_per_element": 1}),
+    "SplitRng.next_uint64": (lambda n=4: SplitRng(1).next_uint64(n), {"n": 0}),
+    "SplitRng.integers": (
+        lambda n=4, bound=3: SplitRng(1).integers(n, bound),
+        {"n": 0, "bound": 1}),
+    "SplitRng.choice_without_replacement": (
+        lambda n=5, k=2: SplitRng(1).choice_without_replacement(n, k),
+        {"n": 2, "k": 0}),
+    "SplitRng.normal": (lambda shape=3: SplitRng(1).normal(shape), {"shape": 0}),
+    "measure_walltime": (
+        lambda repetitions=3: measure_walltime(ModelConfig(), StreamConfig(),
+                                               repetitions),
+        {"repetitions": 3}),
 }
 
 BAD_SIZES = [
