@@ -14,12 +14,12 @@ pays more than the exact block's N*N*D for either product.
 
 Gate error subtractions, the delta gates' change subtractions and the
 extra additions of the incremental attention-value update are tracked
-separately as plain adds.  Nonlinear
-work is counted apart from the MACs as ``nonlinear_elems``: the elements
-through layer norm and GELU (in a gated block, only the rows their gates
-pick), plus the exponentials the softmax evaluates (every score of a full
-softmax; on the patched path of "full" mode only the recomputed rows, the
-changed columns and the value gate's columns outside them).
+separately as plain adds.  Nonlinear work is counted apart from the MACs
+as ``nonlinear_elems``: the elements through layer norm and GELU (in a
+gated block, only the rows their gates pick), plus the exponentials the
+softmax evaluates (every score of a full softmax; on the patched path of
+"full" mode only the recomputed rows, the changed columns and the value
+gate's columns outside them).
 
 A stream's first frame, which fills every state tensor, is counted like
 any other; steady-state totals start after it.

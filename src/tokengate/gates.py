@@ -179,9 +179,10 @@ class DeltaGate(Gate):
     (current minus previous reference) at the selected indices: exactly the
     pieces an incremental product update needs.  The first call's previous
     reference is zero, so its change equals the input.  A call counts its
-    changes, one subtraction per element, besides the selection's cost.  It fills its budget
-    with unchanged tokens too: in attention its picks also choose the
-    attention gate's columns to refresh, and A changes where V did not.
+    changes, one subtraction per element, besides the selection's cost.
+    It fills its budget with unchanged tokens too: in attention its picks
+    also choose the attention gate's columns to refresh, and A changes
+    where V did not.
     ``top_r`` breaks the tie among their zero norms by index: below r = N
     the filler is the same lowest-indexed columns on every frame, and A's
     other unchanged columns stay stale until their token changes.
