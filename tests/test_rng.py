@@ -71,7 +71,7 @@ def test_integers_in_bounds():
                  id="normal-entry-fraction"),
 ])
 def test_bad_size_rejected_before_the_state_moves(draw, message):
-    # a fractional count used to draw more words than the state advanced by
+    # a rejected size draws nothing, so the stream goes on as a fresh one
     rng = SplitRng(1)
     with pytest.raises(ValueError, match=f"^{message}"):
         draw(rng)
