@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tokengate import attention
 from tokengate.attention import (
     AttentionState,
     AttentionWeights,
@@ -191,6 +195,75 @@ class TestQkSparseUpdate:
             np.testing.assert_array_equal(new_rows, want[rows])
             np.testing.assert_array_equal(new_cols, want[:, cols])
 
+    @staticmethod
+    def _fancy_reference(n, n_kv, rows, cols, seed):
+        """An instance whose rows and cols changed, B before the update, and
+        the B after it written through numpy's fancy indexing."""
+        rng = SplitRng(seed)
+        q, k = rng.normal((n, 4)), rng.normal((n_kv, 4))
+        b = q @ k.T
+        rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+        q[rows], k[cols] = rng.normal((rows.size, 4)), rng.normal((cols.size, 4))
+        want = b.copy()
+        want[rows, :] = q[rows] @ k.T
+        want[:, cols] = q @ k[cols].T
+        return q, k, b, rows, cols, want
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([1, 4, 6], [1, 4, 6]),          # the same set, as without pooling
+        ([0, 3, 9], [5, 100, 8191]),     # pooled keys: different sets
+        ([2, 8], []),                    # no changed column
+        ([], []),
+    ], ids=["same", "pooled", "no-cols", "empty"])
+    @pytest.mark.parametrize("with_old", [True, False], ids=["old", "no-old"])
+    def test_blocked_pass_bitwise_equals_the_fancy_index_update(self, rows, cols,
+                                                                 with_old):
+        # at N_kv = 8192 a block holds 4 rows of B, so its 10 rows take three
+        # blocks, the last one partial
+        n, n_kv = 10, 8192
+        assert attention.COLUMN_BLOCK_BYTES // (8 * n_kv) == 4
+        q, k, b, rows, cols, want = self._fancy_reference(n, n_kv, rows, cols, 16)
+        before = b.copy()
+        old = np.full((n, cols.size), np.nan) if with_old else None
+        new_rows, new_cols = qk_sparse_update(b, q, k, rows, cols, old=old)
+        np.testing.assert_array_equal(b, want)
+        np.testing.assert_array_equal(new_rows, want[rows])
+        np.testing.assert_array_equal(new_cols, want[:, cols])
+        if with_old:
+            np.testing.assert_array_equal(old, before[:, cols])
+
+    @pytest.mark.parametrize("shape", [(10, 3), (9, 2), (10,)])
+    def test_wrongly_shaped_old_scores_rejected_before_b_changes(self, shape):
+        q, k, b, rows, cols, _ = self._fancy_reference(10, 8192, [1], [7, 9], 17)
+        before = b.copy()
+        old = np.zeros(shape)
+        with pytest.raises(ValueError, match="old scores must have shape"):
+            qk_sparse_update(b, q, k, rows, cols, old=old)
+        np.testing.assert_array_equal(b, before)
+        assert not old.any()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), n_kv=st.integers(1, 12),
+           with_old=st.booleans())
+    def test_any_blocking_equals_the_fancy_index_update(self, data, n, n_kv,
+                                                        with_old):
+        rows = data.draw(st.lists(st.integers(0, n - 1), unique=True), "rows")
+        cols = data.draw(st.lists(st.integers(0, n_kv - 1), unique=True), "cols")
+        block_rows = data.draw(st.integers(1, n + 1), "block_rows")
+        rows, cols = sorted(rows), sorted(cols)
+        q, k, b, rows, cols, want = self._fancy_reference(n, n_kv, rows, cols,
+                                                          n * 13 + n_kv)
+        before = b.copy()
+        old = np.full((n, cols.size), np.nan) if with_old else None
+        with mock.patch.object(attention, "COLUMN_BLOCK_BYTES",
+                               block_rows * 8 * n_kv):
+            new_rows, new_cols = qk_sparse_update(b, q, k, rows, cols, old=old)
+        np.testing.assert_array_equal(b, want)
+        np.testing.assert_array_equal(new_rows, want[rows])
+        np.testing.assert_array_equal(new_cols, want[:, cols])
+        if with_old:
+            np.testing.assert_array_equal(old, before[:, cols])
+
     def test_overlap_block_holds_the_column_product(self):
         # should the two products round the overlap apart, B and the row
         # product handed back both hold the column product there
@@ -207,7 +280,7 @@ class TestQkSparseUpdate:
         np.testing.assert_array_equal(new_cols, b[:, idx])
 
     def test_rejects_a_matrix_that_is_not_c_contiguous(self):
-        # a flat write into a non-contiguous B would land in a copy
+        # a block of a non-contiguous B's rows is not one stretch of memory
         _, q, k, _ = self._instance(14, 6, 3)
         b = (k @ q.T).T
         before = b.copy()
