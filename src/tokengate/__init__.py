@@ -61,6 +61,6 @@ from .harness import (
 )
 from .kernels import gelu, layer_norm, row_l2_norms, softmax_rows
 from .rng import SplitRng
-from .streams import StreamConfig, gen_stream
+from .streams import StreamConfig, gen_stream, iter_stream
 
 __version__ = "0.1.0"

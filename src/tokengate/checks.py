@@ -9,6 +9,7 @@ tests call them at larger instance counts.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -158,12 +159,15 @@ def state_within_bounds(deviation) -> bool:
     return bool(np.all(np.less_equal(deviation, (QK_TOL, AV_TOL, NORMALIZER_TOL))))
 
 
-def normalizer_run(model_cfg: ModelConfig, frames: np.ndarray,
+def normalizer_run(model_cfg: ModelConfig, frames: Iterable[np.ndarray],
                    schedule=None) -> tuple[float, float, float, float]:
     """Step a model through frames, at budgets ``schedule`` (one per frame)
     if given; returns the worst ``state_deviation`` values (zeros in modes
     without incremental attention) and the worst relative error against
-    the oracle of a frame whose budget covers every token."""
+    the oracle of a frame whose budget covers every token.  ``frames`` is
+    any iterable of (n, d) frames, read once in order: a ``gen_stream``
+    array, or ``iter_stream`` cut to length, whose memory does not grow
+    with the number of frames."""
     model = Model(model_cfg)
     worst = np.zeros(4)
     for t, frame in enumerate(frames):

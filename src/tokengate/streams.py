@@ -14,7 +14,9 @@ whole stream bit-for-bit.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,25 +55,31 @@ class StreamConfig:
                                  f"got {getattr(self, name)}")
 
 
-def gen_stream(cfg: StreamConfig) -> np.ndarray:
-    """(frames, n, d) array of token matrices for the configured stream."""
+def iter_stream(cfg: StreamConfig) -> Iterator[np.ndarray]:
+    """Endless (n, d) frames of the configured stream, made one at a time, so
+    a stream of any length takes the memory of one frame.  Each frame is a
+    fresh array; ``cfg.frames`` only bounds ``gen_stream``."""
     rng = SplitRng(cfg.seed).substream(2)
-    frames = np.empty((cfg.frames, cfg.n, cfg.d))
-    frames[0] = rng.normal((cfg.n, cfg.d))
-    if cfg.mode in ("drift", "mixed"):
+    frame = rng.normal((cfg.n, cfg.d))
+    drifts = cfg.mode in ("drift", "mixed")
+    if drifts:
         directions = rng.normal((cfg.n, cfg.d))
         lengths = np.sqrt((directions ** 2).sum(axis=1, keepdims=True))
         lengths[lengths == 0] = 1.0
         directions *= cfg.eps / lengths
-
     redraws = int(np.ceil(cfg.rho * cfg.n)) if cfg.mode in ("sparse_change",
                                                             "mixed") else 0
-    for t in range(1, cfg.frames):
-        frame = frames[t - 1].copy()
-        if cfg.mode in ("drift", "mixed"):
+    while True:
+        yield frame
+        frame = frame.copy()
+        if drifts:
             frame += directions
         if redraws:
             rows = rng.choice_without_replacement(cfg.n, redraws)
             frame[rows] = rng.normal((redraws, cfg.d)) * cfg.sigma
-        frames[t] = frame
-    return frames
+
+
+def gen_stream(cfg: StreamConfig) -> np.ndarray:
+    """(frames, n, d) array of the first ``cfg.frames`` frames of
+    ``iter_stream(cfg)``."""
+    return np.stack(list(itertools.islice(iter_stream(cfg), cfg.frames)))
