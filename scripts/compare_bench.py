@@ -8,14 +8,14 @@ parent checkout (``--parent``) and this one (or ``--change DIR``), the
 parent first in even pairs and the change first in odd ones, so that a
 drift in the machine's speed favours neither side.  Workloads (all of
 them, or each ``--workload``), end-to-end metrics and their bounds come
-from the change's ``BENCHMARK.json``; runs last its ``run_seconds`` unless
-``--seconds`` says otherwise.  Prints, for each workload and metric, each
-side's median and quartiles, the relative change of the median, how many
-pairs the change won (and tied), whether the medians differ by more than
-the parent's interquartile range, and WORSE where the change's median is
-worse than the parent's by more than the metric's bound.  Also prints how
-many runs on each side failed their correctness checks.  ``--out FILE``
-writes every run's metrics as JSON.
+from the change's ``BENCHMARK.json``, and every run lasts its
+``run_seconds``, as in ``record_bench.py``.  Prints, for each workload
+and metric, each side's median and quartiles, the relative change of the
+median, how many pairs the change won (and tied), whether the medians
+differ by more than the parent's interquartile range, and WORSE where
+the change's median is worse than the parent's by more than the metric's
+bound.  Also prints how many runs on each side failed their correctness
+checks.  ``--out FILE`` writes every run's metrics as JSON.
 """
 
 from __future__ import annotations
@@ -70,15 +70,13 @@ def compare_metric(parent, change, better: str, bound: float) -> dict:
 
 
 def compare(doc: dict, end_to_end) -> dict:
-    """Every workload's ``compare_metric`` for each end-to-end metric that
-    both sides report, plus each side's runs that failed their checks."""
+    """Every workload's ``compare_metric`` for each end-to-end metric, plus
+    each side's runs that failed their checks."""
     out = {}
     for workload, results in doc["workloads"].items():
         rows = {}
         for metric in end_to_end:
             name = metric["name"]
-            if not all(name in r["metrics"] for side in SIDES for r in results[side]):
-                continue
             values = {side: [r["metrics"][name]["value"] for r in results[side]]
                       for side in SIDES}
             rows[name] = compare_metric(values["parent"], values["change"],
@@ -101,13 +99,13 @@ def format_report(comparison: dict, pairs: int) -> str:
         bad = entry["incorrect"]
         lines.append(f"{workload}: {pairs} pairs; runs failing their checks: "
                      f"parent {bad['parent']}, change {bad['change']}")
-        lines.append(f"  {'metric':<20} {'parent median [q1, q3]':<30} "
-                     f"{'change median [q1, q3]':<30} {'change':>8}  "
+        lines.append(f"  {'metric':<20} {'parent median [q1, q3]':<34} "
+                     f"{'change median [q1, q3]':<34} {'change':>8}  "
                      f"{'won':>6} {'tied':>5}  beyond IQR")
         for name, row in entry["metrics"].items():
             lines.append(
-                f"  {name:<20} {_quartiles(row['parent']):<30} "
-                f"{_quartiles(row['change']):<30} {row['rel_change']:>+8.2%}  "
+                f"  {name:<20} {_quartiles(row['parent']):<34} "
+                f"{_quartiles(row['change']):<34} {row['rel_change']:>+8.2%}  "
                 f"{row['won']:>3}/{pairs:<2} {row['tied']:>5}  "
                 f"{'yes' if row['beyond_iqr'] else 'no':<3}"
                 f"{'  WORSE than its bound' if row['worse'] else ''}")
@@ -124,8 +122,6 @@ def main(argv=None) -> int:
                         help="comma-separated seeds, one pair each")
     parser.add_argument("--workload", action="append",
                         help="a workload to run (repeatable; all by default)")
-    parser.add_argument("--seconds", type=float,
-                        help="run length (BENCHMARK.json's run_seconds by default)")
     parser.add_argument("--out", type=Path, help="write every run's metrics here")
     args = parser.parse_args(argv)
     try:
@@ -138,12 +134,11 @@ def main(argv=None) -> int:
     unknown = sorted(set(workloads) - set(known))
     if unknown:
         parser.error(f"unknown workload(s) {unknown}; BENCHMARK.json lists {known}")
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     checkouts = {"parent": args.parent, "change": args.change}
     runners = {side: (lambda workload, seed, secs, root=root:
                       record_bench.run_bench(root, workload, seed, secs))
                for side, root in checkouts.items()}
-    doc = run_pairs(workloads, seeds, seconds, runners)
+    doc = run_pairs(workloads, seeds, spec["run_seconds"], runners)
     comparison = compare(doc, spec["end_to_end"])
     print(format_report(comparison, len(seeds)))
     if args.out:

@@ -123,6 +123,7 @@ def test_main_runs_both_checkouts(monkeypatch, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["comparison"]["b"]["metrics"]["frame_ms_p50"]["won"] == 2
     assert list(doc["workloads"]) == ["b"]
-    with pytest.raises(SystemExit):
-        compare_bench.main(["--parent", str(parent), "--change", str(change),
-                            "--seeds", "1", "--workload", "nope"])
+    for bad in (["--workload", "nope"], ["--seconds", "2"]):   # the run length is not an option
+        with pytest.raises(SystemExit):
+            compare_bench.main(["--parent", str(parent), "--change", str(change),
+                                "--seeds", "1", *bad])

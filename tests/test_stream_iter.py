@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -17,7 +18,7 @@ from tokengate.streams import STREAM_MODES, StreamConfig, gen_stream, iter_strea
 def test_iter_stream_is_gen_stream_frame_for_frame_and_past_its_end(mode):
     cfg = StreamConfig(n=12, d=5, frames=6, mode=mode, rho=0.25, eps=0.1,
                        seed=31)
-    longer = gen_stream(StreamConfig(**{**vars(cfg), "frames": 15}))
+    longer = gen_stream(dataclasses.replace(cfg, frames=15))
     frames = list(itertools.islice(iter_stream(cfg), 15))
     assert len(frames) == 15
     np.testing.assert_array_equal(np.stack(frames), longer)
