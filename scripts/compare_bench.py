@@ -2,6 +2,7 @@
 
     python3 scripts/compare_bench.py --parent DIR --seeds 601,602,603,604,605
     python3 scripts/compare_bench.py --parent DIR --seeds 601,602 --workload hires-sparse
+    python3 scripts/compare_bench.py --parent DIR --seeds 601,602 --trace
 
 Runs one pair per seed and workload through ``record_bench.run_bench``: the
 parent checkout (``--parent``) and this one (or ``--change DIR``), the
@@ -15,7 +16,9 @@ median, how many pairs the change won (and tied), whether the medians
 differ by more than the parent's interquartile range, and WORSE where
 the change's median is worse than the parent's by more than the metric's
 bound.  Also prints how many runs on each side failed their correctness
-checks.  ``--out FILE`` writes every run's metrics as JSON.
+checks.  ``--trace`` runs every run traced and compares the per-layer
+metrics of ``BENCHMARK.json`` instead, which have no bound, to show where
+a change's time goes.  ``--out FILE`` writes every run's metrics as JSON.
 """
 
 from __future__ import annotations
@@ -69,18 +72,20 @@ def compare_metric(parent, change, better: str, bound: float) -> dict:
             "worse": bool(sign * diff > bound * abs(p["median"]))}
 
 
-def compare(doc: dict, end_to_end) -> dict:
-    """Every workload's ``compare_metric`` for each end-to-end metric, plus
-    each side's runs that failed their checks."""
+def compare(doc: dict, metrics) -> dict:
+    """Every workload's ``compare_metric`` for each metric (a metric without
+    a bound is never worse than it), plus each side's runs that failed
+    their checks."""
     out = {}
     for workload, results in doc["workloads"].items():
         rows = {}
-        for metric in end_to_end:
+        for metric in metrics:
             name = metric["name"]
             values = {side: [r["metrics"][name]["value"] for r in results[side]]
                       for side in SIDES}
             rows[name] = compare_metric(values["parent"], values["change"],
-                                        metric["better"], metric["bound"])
+                                        metric["better"],
+                                        metric.get("bound", math.inf))
         out[workload] = {
             "incorrect": {side: sum(not r["correct"] for r in results[side])
                           for side in SIDES},
@@ -97,14 +102,15 @@ def format_report(comparison: dict, pairs: int) -> str:
     lines = []
     for workload, entry in comparison.items():
         bad = entry["incorrect"]
+        width = max([20, *map(len, entry["metrics"])])
         lines.append(f"{workload}: {pairs} pairs; runs failing their checks: "
                      f"parent {bad['parent']}, change {bad['change']}")
-        lines.append(f"  {'metric':<20} {'parent median [q1, q3]':<34} "
+        lines.append(f"  {'metric':<{width}} {'parent median [q1, q3]':<34} "
                      f"{'change median [q1, q3]':<34} {'change':>8}  "
                      f"{'won':>6} {'tied':>5}  beyond IQR")
         for name, row in entry["metrics"].items():
             lines.append(
-                f"  {name:<20} {_quartiles(row['parent']):<34} "
+                f"  {name:<{width}} {_quartiles(row['parent']):<34} "
                 f"{_quartiles(row['change']):<34} {row['rel_change']:>+8.2%}  "
                 f"{row['won']:>3}/{pairs:<2} {row['tied']:>5}  "
                 f"{'yes' if row['beyond_iqr'] else 'no':<3}"
@@ -122,6 +128,8 @@ def main(argv=None) -> int:
                         help="comma-separated seeds, one pair each")
     parser.add_argument("--workload", action="append",
                         help="a workload to run (repeatable; all by default)")
+    parser.add_argument("--trace", action="store_true",
+                        help="run traced and compare the per-layer metrics")
     parser.add_argument("--out", type=Path, help="write every run's metrics here")
     args = parser.parse_args(argv)
     try:
@@ -136,14 +144,15 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload(s) {unknown}; BENCHMARK.json lists {known}")
     checkouts = {"parent": args.parent, "change": args.change}
     runners = {side: (lambda workload, seed, secs, root=root:
-                      record_bench.run_bench(root, workload, seed, secs))
+                      record_bench.run_bench(root, workload, seed, secs, args.trace))
                for side, root in checkouts.items()}
     doc = run_pairs(workloads, seeds, spec["run_seconds"], runners)
-    comparison = compare(doc, spec["end_to_end"])
+    comparison = compare(doc, spec["per_layer" if args.trace else "end_to_end"])
     print(format_report(comparison, len(seeds)))
     if args.out:
         args.out.write_text(json.dumps(
-            {**doc, "checkouts": {side: str(root) for side, root in checkouts.items()},
+            {**doc, "trace": args.trace,
+             "checkouts": {side: str(root) for side, root in checkouts.items()},
              "comparison": comparison}, indent=1) + "\n")
     return 0
 

@@ -29,11 +29,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_bench(checkout: Path, workload: str, seed: int,
-              seconds: float) -> tuple[dict, dict]:
-    """One benchmark run; returns its side report and its result."""
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
+              trace: bool = False) -> tuple[dict, dict]:
+    """One benchmark run, traced if ``trace`` (its result then holds the
+    per-layer metrics); returns its side report and its result."""
     command = [sys.executable, "bench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(seconds),
+               "--trace", str(int(trace))]
     proc = subprocess.run(command, cwd=checkout, capture_output=True,
                           text=True)
     lines = proc.stdout.strip().splitlines()

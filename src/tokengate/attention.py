@@ -8,8 +8,7 @@ token stream:
     buffer and the columns at those indices against the full query buffer.
     The columns are written in blocks of B's rows, one cache-sized pass
     over B that can also read out the old scores there just before it
-    overwrites them; then the rows are written in whole.  Everything else
-    is still valid.
+    overwrites them; then the rows are written whole.
   * per-row softmax normalizers: an offset at or above every scaled score
     of the row, and the sum of the row's exponentials taken against it, so
     that A = exp(B / sqrt(d_head) - offset) / sum.  Rows whose query changed
@@ -21,27 +20,25 @@ token stream:
     its value before the patch is recomputed from ``B``.
   * an attention-side delta gate whose tokens are the *columns* of the
     row-softmaxed matrix, forced to select the same indices as the value
-    gate so the delta products stay aligned.  On the patched path A is
-    only formed at those columns: columns among the changed ones reuse the
-    exponentials the patch has taken, and only the others are
-    exponentiated from ``B``.
+    gate (the columns whose value changed, or at a budget of every column
+    all of them) so the delta products stay aligned.  On the patched path
+    A is only formed at those columns, reusing the exponentials the patch
+    has taken; only columns outside the changed ones are read from ``B``.
   * ``av`` — the cached attention-weighted value sum, advanced by the
     identity  new = old + A_now dV + dA (V_now - dV)  with every factor cut
     down to the selected columns/rows.
 
 Each piece falls back to the oracle's computation on a frame where
-patching would cost at least as much.  The softmax is taken whole when
-patching would evaluate at least as many exponentials as the matrix has
-elements, which also refreshes the normalizers.  ``B`` is recomputed in
-one product when the changed rows and columns together cover at least its
-size.  ``av`` is recomputed as (gate reference A)^T (gate reference V) once
-the value gate picks at least half of the key columns; the attention
-gate's reference is then overwritten at those columns without computing
-changes.  A frame where every gate takes every token thus runs the
-oracle's products on the oracle's operands; the first frame is one, as
-every gate takes every token against a zero reference.  The scale
-1 / sqrt(d_head) is applied when the softmax is taken, so ``B`` always
-stores raw products.
+patching would cost at least as much: the softmax (which also refreshes
+the normalizers) when patching would evaluate at least as many
+exponentials as the matrix has elements, ``B`` when the changed rows and
+columns together cover its size, and ``av`` as (gate reference A)^T (gate
+reference V) once the value gate picks at least half of the key columns,
+overwriting the attention gate's reference there without computing
+changes.  A frame where every gate takes every token, the first one
+included, thus runs the oracle's products on the oracle's operands.  The
+scale 1 / sqrt(d_head) is applied when the softmax is taken, so ``B``
+always stores raw products.
 """
 
 from __future__ import annotations

@@ -108,7 +108,7 @@ def check_policies(vectors: int = 200, seed: int = 2) -> tuple[str, bool, str]:
     provoke ties, budgets run from 0 to n + 2.  A gate's second input is
     the norms along the first axis, about a quarter of them zero: a
     ``Gate`` must take the top_r picks among the nonzero norms only, and
-    a ``DeltaGate`` among all of them."""
+    so must a ``DeltaGate`` below r = n; at r >= n it takes every token."""
     rng = SplitRng(seed)
     ok = True
     for _ in range(vectors):
@@ -125,7 +125,8 @@ def check_policies(vectors: int = 200, seed: int = 2) -> tuple[str, bool, str]:
         ok &= top_r_indices(norms, r).tolist() == sorted(by_norm[:r])
         ok &= threshold_indices(norms, h).tolist() == above
         for policy, gate_want, delta_want in (
-                (Policy("top_r", r=r), sorted(changed[:r]), sorted(by_norm[:r])),
+                (Policy("top_r", r=r), sorted(changed[:r]),
+                 sorted(changed[:r]) if r < n else list(range(n))),
                 (Policy("threshold", h=h), above, above)):
             for cls, want in ((Gate, gate_want), (DeltaGate, delta_want)):
                 gate = cls(n, 2, policy)

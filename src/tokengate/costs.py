@@ -144,9 +144,9 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
                          mode: str = "full") -> dict:
     """MACs and adds for one steady-state gated block frame with m tokens selected.
 
-    Every gate is charged exactly m picks.  A token-wise gate takes fewer
-    when fewer than m tokens changed, so on such a frame this is an upper
-    bound on the ledger.
+    Every gate is charged exactly m picks.  A token-wise gate, and below a
+    full budget the value gate, takes fewer when fewer than m tokens
+    changed; this then bounds the ledger's MACs, not its adds.
 
     In "full" mode the similarity matrix is patched by row/column scatter
     (2NMD) and the attention-value product by the aligned delta identity

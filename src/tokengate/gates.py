@@ -14,8 +14,9 @@ the zero reference, so the reference takes the input and the change is the
 input.  After it, a plain ``Gate`` never selects a token whose difference
 from its reference has norm 0, as that token's buffered output was computed
 from the same input: a ``top_r`` gate takes the min(r, changed) tokens of
-largest error.  ``DeltaGate`` and
-``StgtGate`` fill their budget with such tokens too (see their docstrings).
+largest error.  ``DeltaGate`` keeps such tokens when the policy picks
+every token, and ``StgtGate`` fills its budget with them (see their
+docstrings).
 """
 
 from __future__ import annotations
@@ -119,14 +120,10 @@ class Gate:
     ``top_r`` gate takes min(r, changed) tokens; a norm that underflows to
     0 leaves its token's error accumulating like any unpicked one.
     Subclasses change what a call returns (DeltaGate) or how the reference
-    is refreshed (StgtGate), and select from every token; the check and
-    selection are shared, and so is counting the gate's own cost into the
-    ledger.
+    is refreshed (StgtGate), and with it which unchanged picks they keep
+    (``_drops_unchanged``); the check and selection are shared, and so is
+    counting the gate's own cost into the ledger.
     """
-
-    # whether a token whose difference has norm 0 is never selected; fixed
-    # per gate class by its reference rule, never set on an instance
-    _skips_unchanged = True
 
     def __init__(self, n: int, width: int, policy: Policy,
                  ledger: CostLedger | None = None):
@@ -142,8 +139,8 @@ class Gate:
         The first call takes every token against a zero reference at no
         cost.  Later calls take idx from the policy applied to the per-token
         norm of the difference c - u, at one subtraction and one squared-norm
-        MAC per element; a plain Gate then drops the picks of norm 0
-        (``_skips_unchanged``).  The difference is not kept.
+        MAC per element, and the picks of norm 0 are dropped where
+        ``_drops_unchanged`` says so.  The difference is not kept.
         """
         c = np.asarray(c, dtype=np.float64)
         if c.shape != self.u.shape:
@@ -154,12 +151,16 @@ class Gate:
         else:
             norms = row_l2_norms(c - self.u)
             idx = self.policy.select(norms)
-            if self._skips_unchanged:
+            if self._drops_unchanged(idx):
                 idx = idx[norms[idx] > 0]
             self.ledger.count_adds(c.size)
             self.ledger.count_macs("gate_overhead", c.size)
         self.last_idx = idx
         return c, idx
+
+    def _drops_unchanged(self, idx: IndexSet) -> bool:
+        """Whether a call drops the picks idx of norm 0; fixed per class."""
+        return True
 
     def _refresh(self, c: TokenMatrix, idx: IndexSet, picked: TokenMatrix):
         """Reference-update rule: overwrite the selected rows only."""
@@ -180,15 +181,15 @@ class DeltaGate(Gate):
     pieces an incremental product update needs.  The first call's previous
     reference is zero, so its change equals the input.  A call counts its
     changes, one subtraction per element, besides the selection's cost.
-    It fills its budget with unchanged tokens too: in attention its picks
-    also choose the attention gate's columns to refresh, and A changes
-    where V did not.
-    ``top_r`` breaks the tie among their zero norms by index: below r = N
-    the filler is the same lowest-indexed columns on every frame, and A's
-    other unchanged columns stay stale until their token changes.
+    It drops its unchanged picks like a plain Gate unless the policy picks
+    every token: in attention its picks also choose the attention gate's
+    columns to refresh, and A changes where V did not, so a full budget
+    refreshes all of A, while below it A's columns whose V did not change
+    stay stale like any unpicked column.
     """
 
-    _skips_unchanged = False
+    def _drops_unchanged(self, idx):
+        return idx.size < self.n
 
     def __call__(self, c: TokenMatrix) -> tuple[IndexSet, TokenMatrix, TokenMatrix]:
         c, idx = self._select(c)
@@ -226,7 +227,8 @@ class StgtGate(Gate):
     reconstruction of its gating logic, not a reimplementation.
     """
 
-    _skips_unchanged = False
+    def _drops_unchanged(self, idx):
+        return False
 
     def _refresh(self, c, idx, picked):
         _write_rows(self.u, full_index_set(self.n), c)

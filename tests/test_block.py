@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from tokengate import block as block_module
-from tokengate.attention import AttentionWeights, msa_baseline
+from tokengate.attention import (
+    AttentionWeights,
+    msa_baseline,
+    pool_index_set,
+    pool_tokens,
+)
 from tokengate.block import (
     MODES,
     GatedBlock,
@@ -12,6 +17,7 @@ from tokengate.block import (
     block_baseline,
     init_model_weights,
 )
+from tokengate.checks import state_deviation, state_within_bounds
 from tokengate.costs import CostLedger
 from tokengate.gates import Policy
 from tokengate.kernels import gelu, layer_norm
@@ -389,4 +395,63 @@ class TestModel:
             tokens, _ = model.step(frame)
             exact, _ = model.baseline_frame(frame)
             assert rel_err(tokens, exact) < 1e-5
+
+
+def _value_gate_frames(mode, r, rho, seed):
+    """Step a 2-block model of 64 tokens at budget r over a sparse_change
+    stream; after each frame but the first, yield each block with the
+    value gate's and the qkv gate's references before the frame."""
+    n = 64
+    cfg = ModelConfig(blocks=2, n=n, d=8, heads=2, seed=seed, mode=mode,
+                      pool_p=2 if mode == "spatial_pool" else 1,
+                      policy=Policy("top_r", r=r))
+    model = Model(cfg)
+    stream = StreamConfig(n=n, d=8, frames=8, mode="sparse_change", rho=rho,
+                          seed=seed + 1)
+    for t, frame in enumerate(gen_stream(stream)):
+        before = [(blk.attn.v_gate.u.copy(), blk.gate_qkv.u.copy())
+                  for blk in model.blocks]
+        model.step(frame)
+        if t:
+            for blk, (v_ref, qkv_ref) in zip(model.blocks, before):
+                yield blk, v_ref, qkv_ref
+
+
+def _change_norms(gate, before, idx):
+    return np.linalg.norm(gate.u[idx] - before[idx], axis=1)
+
+
+class TestValueGate:
+    @pytest.mark.parametrize("mode", ["full", "spatial_pool"])
+    def test_takes_only_changed_columns_below_a_full_budget(self, mode):
+        # every pick changed and lies among the frame's changed columns, and
+        # no changed column is left over: the value gate's reference is the
+        # pooled value buffer after every frame
+        picks = 0
+        for blk, v_ref, _ in _value_gate_frames(mode, r=8, rho=0.1, seed=40):
+            attn = blk.attn
+            idx = attn.v_gate.last_idx
+            assert (_change_norms(attn.v_gate, v_ref, idx) > 0).all()
+            cols = pool_index_set(blk.gate_qkv.last_idx, attn.grid, attn.pool)
+            assert np.isin(idx, cols).all()
+            np.testing.assert_array_equal(
+                attn.v_gate.u, pool_tokens(attn.v_buf.b, attn.grid, attn.pool))
+            picks += idx.size
+        assert picks > 0
+
+    def test_takes_every_column_at_a_budget_of_every_pooled_column(self):
+        # N_kv = 16 <= r = 20 < N = 64: the value gate takes every column,
+        # unchanged ones too, while the qkv gate skips unchanged tokens
+        unchanged_columns = skipped_tokens = 0
+        for blk, v_ref, qkv_ref in _value_gate_frames("spatial_pool", r=20,
+                                                      rho=0.1, seed=42):
+            attn = blk.attn
+            idx = attn.v_gate.last_idx
+            np.testing.assert_array_equal(idx, np.arange(attn.n_kv))
+            unchanged_columns += (_change_norms(attn.v_gate, v_ref, idx) == 0).sum()
+            rows = blk.gate_qkv.last_idx
+            assert (_change_norms(blk.gate_qkv, qkv_ref, rows) > 0).all()
+            skipped_tokens += 20 - rows.size
+            assert state_within_bounds(state_deviation(attn))
+        assert unchanged_columns > 0 and skipped_tokens > 0
 

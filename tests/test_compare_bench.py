@@ -6,6 +6,7 @@ The runners are stubbed, so no benchmark runs here.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -111,7 +112,7 @@ def test_main_runs_both_checkouts(monkeypatch, tmp_path, capsys):
     stubs = {root: stub_runner(side, calls, ms)
              for side, root in (("parent", parent), ("change", change))}
     monkeypatch.setattr(compare_bench.record_bench, "run_bench",
-                        lambda root, workload, seed, seconds:
+                        lambda root, workload, seed, seconds, trace:
                         stubs[root](workload, seed, seconds))
     out = tmp_path / "pairs.json"
     assert compare_bench.main(["--parent", str(parent), "--change", str(change),
@@ -127,3 +128,45 @@ def test_main_runs_both_checkouts(monkeypatch, tmp_path, capsys):
         with pytest.raises(SystemExit):
             compare_bench.main(["--parent", str(parent), "--change", str(change),
                                 "--seeds", "1", *bad])
+
+
+def test_trace_compares_the_per_layer_metrics(monkeypatch, tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        root.mkdir()
+    per_layer = [{"name": "attention.av_update_ms", "better": "lower"},
+                 {"name": "gates.selected_share.v", "better": "lower"}]
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 7, "workloads": [{"name": "a"}],
+         "end_to_end": END_TO_END, "per_layer": per_layer}))
+    calls = []
+    ms = {parent: 12.0, change: 9.0}
+
+    def run_bench(root, workload, seed, seconds, trace):
+        calls.append((root, trace))
+        result = {"correct": True, "metrics": {
+            "attention.av_update_ms": {"value": ms[root] * 100, "unit": "ms"},
+            "gates.selected_share.v": {"value": 0.1, "unit": "1"}}}
+        return {"env": {}}, result
+
+    monkeypatch.setattr(compare_bench.record_bench, "run_bench", run_bench)
+    out = tmp_path / "pairs.json"
+    assert compare_bench.main(["--parent", str(parent), "--change", str(change),
+                               "--seeds", "1,2,3", "--trace",
+                               "--out", str(out)]) == 0
+    assert calls == [(root, True) for root in
+                     (parent, change, change, parent, parent, change)]
+    lines = capsys.readouterr().out.splitlines()
+    # the per-layer names set the metric column's width
+    assert lines[2].startswith("  attention.av_update_ms ")
+    assert not any("WORSE" in line for line in lines)
+    doc = json.loads(out.read_text())
+    assert doc["trace"] is True
+    metrics = doc["comparison"]["a"]["metrics"]
+    assert list(metrics) == ["attention.av_update_ms", "gates.selected_share.v"]
+    assert metrics["attention.av_update_ms"]["won"] == 3
+    assert metrics["attention.av_update_ms"]["rel_change"] == pytest.approx(-0.25)
+    # a per-layer metric has no bound, so a rise is never flagged
+    row = compare_bench.compare_metric([1.0], [3.0], "lower", math.inf)
+    assert row["worse"] is False
+

@@ -126,23 +126,26 @@ class TestGate:
             gate.u, [[0.0, 0.0], [2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
 
     def test_no_change_selects_by_tie_break(self):
-        # only the gates that fill their budget take unchanged tokens, by
-        # index; a plain gate takes none
+        # only the stgt gate fills its budget with unchanged tokens, by
+        # index; a plain gate and a delta gate below a full budget take none
         c = np.ones((3, 2))
-        for cls, want in ((Gate, []), (DeltaGate, [0]), (StgtGate, [0])):
+        for cls, want in ((Gate, []), (DeltaGate, []), (StgtGate, [0])):
             gate = cls(3, 2, Policy("top_r", r=1))
             gate(c)
             np.testing.assert_array_equal(gate(c)[0], want)
             np.testing.assert_array_equal(gate.u, c)
 
-    # two changed tokens of four; unchanged ones fill the budget by index
+    # two changed tokens of four; an stgt gate fills its budget with
+    # unchanged ones by index, a delta gate only at a budget of every token
     @pytest.mark.parametrize("r, want", [(0, []), (2, [2, 3]), (3, [0, 2, 3]),
-                                         (6, [0, 1, 2, 3])])
+                                         (6, [0, 1, 2, 3]), (4, [0, 1, 2, 3])])
     @pytest.mark.parametrize("cls", [DeltaGate, StgtGate])
     def test_budget_filling_gates_take_min_r_n(self, cls, r, want):
         gate = cls(4, 1, Policy("top_r", r=r))
         gate(np.zeros((4, 1)))
         idx = gate(np.array([[0.0], [0.0], [1.0], [2.0]]))[0]
+        if cls is DeltaGate and r < 4:
+            want = [i for i in want if i in (2, 3)]   # the changed tokens only
         np.testing.assert_array_equal(idx, want)
 
     def test_reference_consistency(self):
@@ -210,11 +213,15 @@ class TestDeltaGate:
         np.testing.assert_array_equal(changes, c)
 
     def test_no_change_zero_deltas(self):
-        gate = DeltaGate(3, 2, Policy("top_r", r=2))
-        c = np.arange(6.0).reshape(3, 2)
-        gate(c)
-        _, _, changes = gate(c)
-        np.testing.assert_array_equal(changes, np.zeros((2, 2)))
+        # below a full budget nothing is picked; at one, every token, with
+        # zero changes
+        for r, want in ((2, []), (3, [0, 1, 2])):
+            gate = DeltaGate(3, 2, Policy("top_r", r=r))
+            c = np.arange(6.0).reshape(3, 2)
+            gate(c)
+            idx, _, changes = gate(c)
+            np.testing.assert_array_equal(idx, want)
+            np.testing.assert_array_equal(changes, np.zeros((len(want), 2)))
 
     def test_forced_full(self):
         gate = DeltaGate(3, 2, Policy("top_r", r=1))

@@ -100,9 +100,10 @@ def test_patched_attention_matches_the_softmax_of_b(monkeypatch):
     """On a patched frame the value update is handed exactly the softmax of
     B at the value gate's columns, and only those outside the changed
     columns are exponentiated anew, whether the value gate's columns are
-    the changed ones (top_r), fewer of them (threshold, a value left as it
-    was) or changed and unchanged ones alike (pool 2 under a budget above
-    the changed cells)."""
+    the changed ones (top_r, also pool 2 under a budget above the changed
+    cells), fewer of them (threshold, a value left as it was) or one that
+    changed on an earlier frame, outside this frame's (a budget below the
+    changed values leaves it over)."""
     handed = []   # the attention columns the value update is given
     update = attention.av_delta_update
 
@@ -125,6 +126,13 @@ def test_patched_attention_matches_the_softmax_of_b(monkeypatch):
                    rng.normal((n, 4)))
         idx = np.array(idx)
         cases.append((state, idx, _changed_frame(rng, state, idx, still)))
+    state = AttentionState(16, 4, 1, Policy("top_r", r=1), ledger=CostLedger())
+    state.step(np.arange(16), rng.normal((16, 4)), rng.normal((16, 4)),
+               rng.normal((16, 4)))
+    _changed_frame(rng, state, np.array([3, 8]))
+    left = np.setdiff1d([3, 8], handed.pop()[1])
+    cases.append((state, np.array([12]),
+                  _changed_frame(rng, state, np.array([12]), [12])))
     assert len(handed) == len(cases)
     for (state, rows, snap), (got, v_idx) in zip(cases, handed):
         n, n_kv = state.n, state.n_kv
@@ -140,8 +148,9 @@ def test_patched_attention_matches_the_softmax_of_b(monkeypatch):
             rows.size * n_kv + (n - rows.size) * (2 * cols.size + 1)
             + n * outside + n_kv * state.resynced)
     # the value gate's columns: the changed one; two of three; the changed
-    # cell and two unchanged ones; two of the three changed cells, 0, 6, 10
-    assert [idx.tolist() for _, idx in handed] == [[0], [0, 9], [0, 1, 2], [0, 10]]
+    # cell; two of the three changed cells, 0, 6, 10; the value left over
+    assert [idx.tolist() for _, idx in handed] == [[0], [0, 9], [0], [0, 10],
+                                                   left.tolist()]
 
 
 def test_patch_decision_charges_every_value_column(monkeypatch):

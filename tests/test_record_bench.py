@@ -62,6 +62,27 @@ def test_a_run_without_a_result_raises(monkeypatch, tmp_path):
         record_bench.run_bench(tmp_path, "a", 1, 1.0)
 
 
+@pytest.mark.parametrize("trace, flag", [(False, "0"), (True, "1")])
+def test_run_bench_passes_the_trace_flag(monkeypatch, tmp_path, trace, flag):
+    seen = []
+
+    class Done:
+        returncode, stderr = 0, ""
+        stdout = '{"report": {"env": {}}}\n{"correct": true, "metrics": {}}\n'
+
+    def run(command, **kwargs):
+        seen.append((command, kwargs["cwd"]))
+        return Done()
+
+    monkeypatch.setattr(record_bench.subprocess, "run", run)
+    report, result = record_bench.run_bench(tmp_path, "a", 3, 1.5, trace)
+    assert report == {"env": {}} and result["correct"] is True
+    (command, cwd), = seen
+    assert command[1:] == ["bench/run.py", "--workload", "a", "--seed", "3",
+                           "--seconds", "1.5", "--trace", flag]
+    assert cwd == tmp_path
+
+
 def test_main_runs_at_the_benchmark_run_length(monkeypatch, tmp_path):
     (tmp_path / "BENCHMARK.json").write_text(
         '{"run_seconds": 7, "workloads": [{"name": "a"}, {"name": "b"}]}')
