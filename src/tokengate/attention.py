@@ -22,22 +22,18 @@ token stream:
     row-softmaxed matrix, forced to select the same indices as the value
     gate (the columns whose value changed, or at a budget of every column
     all of them) so the delta products stay aligned.  On the patched path
-    A is only formed at those columns, reusing the exponentials the patch
-    has taken; only columns outside the changed ones are read from ``B``.
+    A is only formed at those columns, out of the exponentials the patch
+    has taken at the changed ones.
   * ``av`` — the cached attention-weighted value sum, advanced by the
     identity  new = old + A_now dV + dA (V_now - dV)  with every factor cut
     down to the selected columns/rows.
 
 Each piece falls back to the oracle's computation on a frame where
-patching would cost at least as much: the softmax (which also refreshes
-the normalizers) when patching would evaluate at least as many
-exponentials as the matrix has elements, ``B`` when the changed rows and
-columns together cover its size, and ``av`` as (gate reference A)^T (gate
-reference V) once the value gate picks at least half of the key columns,
-overwriting the attention gate's reference there without computing
-changes.  A frame where every gate takes every token, the first one
-included, thus runs the oracle's products on the oracle's operands.  The
-scale 1 / sqrt(d_head) is applied when the softmax is taken, so ``B``
+``costs.frame_plan`` says so; a whole attention-value product overwrites
+the attention gate's reference at the value gate's columns without
+computing changes.  A frame where every gate takes every token, the first
+one included, thus runs the oracle's products on the oracle's operands.
+The scale 1 / sqrt(d_head) is applied when the softmax is taken, so ``B``
 always stores raw products.
 """
 
@@ -47,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostLedger, NullLedger, patched_softmax_exps
+from .costs import CostLedger, NullLedger, frame_plan
 from .gates import Buffer, DeltaGate, Policy
 from .kernels import (
     IndexSet,
@@ -322,20 +318,16 @@ class AttentionState:
         n, n_kv = self.n, self.n_kv
         qh, kh = head_split(q, self.heads), head_split(k_kv, self.heads)
         v_idx, u_v, v_changes = self.v_gate(v_kv)
-        # each product is taken whole when patching would cost at least as much
-        whole_qk = rows.size * n_kv + n * cols.size >= n * n_kv
-        whole_av = 2 * v_idx.size >= n_kv
+        outside = np.setdiff1d(v_idx, cols, assume_unique=True).size
+        whole_qk, patch, whole_av = frame_plan(n, n_kv, rows.size, cols.size,
+                                               v_idx.size, outside)
         every_v = v_idx.size == n_kv
         if whole_av:
             vh = head_split(u_v, self.heads)
         else:
             vh_now = head_split(u_v[v_idx], self.heads)
             vh_delta = head_split(v_changes, self.heads)
-        others = np.setdiff1d(np.arange(n), rows, assume_unique=True)
-        # patching the softmax on a frame that takes B whole would cost at
-        # least the N x N_kv exponentials of taking it whole, so it never does
-        patch = not whole_qk and (patched_softmax_exps(
-            n, n_kv, rows.size, cols.size, v_idx.size) < n * n_kv)
+        others = np.setdiff1d(np.arange(n), rows, assume_unique=True) if patch else None
         # B's scores at the changed columns before the update, for the patch
         old = np.empty((n, cols.size)) if patch else None
         self.resynced = 0
@@ -375,11 +367,9 @@ class AttentionState:
         """Bring head h's normalizers up to date after B changed at query
         rows ``rows``, now holding ``new_rows``, and at key columns ``cols``,
         where the other rows held ``old`` and every row now holds
-        ``new_cols``; return the attention at columns v_idx.
-
-        The value gate's columns among ``cols`` reuse the exponentials of
-        the row recompute, the patch and the resync; only its other columns
-        are exponentiated from B, for every row.
+        ``new_cols``; return the attention at columns v_idx, which lie among
+        ``cols`` and so reuse the exponentials of the row recompute, the
+        patch and the resync.
         """
         scale = np.sqrt(self.dh)
         offset, total = self.row_offset[h], self.row_sum[h]
@@ -401,18 +391,11 @@ class AttentionState:
             stale = others[~(kept > RESYNC_FRACTION * prev_total)]
             self.resynced += stale.size
             new_cols[stale] = self._recompute_rows(h, stale, self.b[h][stale])[:, cols]
-        shared = np.isin(v_idx, cols, assume_unique=True)
-        rest = np.take(self.b[h], v_idx[~shared], axis=1)
-        rest /= scale
-        rest -= offset[:, None]
-        self._exp(rest)
         exps = new_cols
-        if not np.array_equal(v_idx, cols):
-            # v_idx's columns of [new_cols | rest], in v_idx's order
-            at = np.empty(v_idx.size, dtype=np.int64)
-            at[shared] = np.searchsorted(cols, v_idx[shared])
-            at[~shared] = cols.size + np.arange(rest.shape[1])
-            exps = np.take(np.concatenate([new_cols, rest], axis=1), at, axis=1)
+        if v_idx.size < cols.size:
+            # a C-ordered copy: new_cols[:, at] is F-ordered, and the value
+            # update's products would round differently on it
+            exps = np.take(new_cols, np.searchsorted(cols, v_idx), axis=1)
         exps /= total[:, None]
         return exps
 

@@ -8,18 +8,17 @@ costs m*k*n MACs.  Counted MAC categories:
   av             attention-value products (incremental or from scratch)
   gate_overhead  squared-norm evaluation inside selection policies
 
-The incremental path of "full" mode takes each product from scratch on a
-frame where patching would cost at least as much, so per block it never
-pays more than the exact block's N*N*D for either product.
+The incremental path of "full" mode takes each product whole or patches
+it by the rules of ``frame_plan``, so per block it never pays more than the
+exact block's N*N*D for either product.
 
 Gate error subtractions, the delta gates' change subtractions and the
 extra additions of the incremental attention-value update are tracked
 separately as plain adds.  Nonlinear work is counted apart from the MACs
 as ``nonlinear_elems``: the elements through layer norm and GELU (in a
 gated block, only the rows their gates pick), plus the exponentials the
-softmax evaluates (every score of a full softmax; on the patched path of
-"full" mode only the recomputed rows, the changed columns and the value
-gate's columns outside them).
+softmax evaluates (every score of a full softmax, or those of
+``patched_softmax_exps``).
 
 A stream's first frame, which fills every state tensor, is counted like
 any other; steady-state totals start after it.
@@ -107,21 +106,41 @@ def _norm_and_gelu_elems(m: int, d: int, mlp_ratio: int) -> int:
     return 2 * m * d + m * mlp_ratio * d
 
 
-def patched_softmax_exps(n: int, n_kv: int, rows: int, cols: int,
-                         values: int) -> int:
+def patched_softmax_exps(n: int, n_kv: int, rows: int, cols: int) -> int:
     """Exponentials one head's patched softmax evaluates, resyncs aside.
 
     ``rows`` changed queries are recomputed against all n_kv keys; when
-    ``cols`` key columns changed, each of the other rows pays its old and
-    new scores there plus one rescale factor; and every row pays the
-    ``values`` columns it reads from B: the value gate's columns outside
-    the changed ones, whose exponentials the patch already holds.  Each
-    resynced row adds n_kv more.  Whether to patch is decided with
-    ``values`` set to all of the value gate's columns, so the decision does
-    not move with the overlap.
+    ``cols`` key columns changed, each other row pays its old and new
+    scores there and one rescale factor.  A resynced row adds n_kv more.
     """
     patched = (n - rows) * (2 * cols + 1) if cols else 0
-    return rows * n_kv + patched + n * values
+    return rows * n_kv + patched
+
+
+def frame_plan(n: int, n_kv: int, rows: int, cols: int, values: int,
+               outside: int) -> tuple[bool, bool, bool]:
+    """The whole-or-patch rules of one frame of incremental attention.
+
+    ``rows`` of n queries and ``cols`` of n_kv key columns changed; the
+    value gate picked ``values`` columns, ``outside`` of them unchanged.
+    Each rule takes a piece whole, as the oracle does, where patching would
+    cost at least as many MACs or exponentials; a crossover measured on
+    the clock would replace its line here.  Returns, in order:
+
+      whole_qk  B recomputed whole when rows*n_kv + n*cols >= n*n_kv.
+      patch     the softmax patched when B is, ``outside`` is 0 and
+                ``patched_softmax_exps`` + n*values < n*n_kv; the value
+                columns are charged as if read from B, so the decision
+                does not move with the overlap.  Otherwise it is taken
+                whole, which also refreshes every row's normalizers.
+      whole_av  the attention-value product whole when 2*values >= n_kv;
+                otherwise it is advanced by the delta identity.
+    """
+    whole_qk = rows * n_kv + n * cols >= n * n_kv
+    patch = (not whole_qk and outside == 0
+             and patched_softmax_exps(n, n_kv, rows, cols) + n * values < n * n_kv)
+    whole_av = 2 * values >= n_kv
+    return whole_qk, patch, whole_av
 
 
 def _check_sizes(n: int, d: int, h: int, **more):
@@ -148,16 +167,13 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
     full budget the value gate, takes fewer when fewer than m tokens
     changed; this then bounds the ledger's MACs, not its adds.
 
-    In "full" mode the similarity matrix is patched by row/column scatter
-    (2NMD) and the attention-value product by the aligned delta identity
-    (2NMD) while 2M < N; from 2M = N on each is one product of the exact
-    block's N*N*D, and the forced-gate and delta-product adds vanish; the
-    value gate's M*D change subtractions are paid on every frame.  Each
-    head's softmax is patched unless ``patched_softmax_exps`` with all M
-    value columns charged costs at least the N*N exponentials of a full
-    softmax; a patch evaluates none of the value columns afresh, as they
-    are the changed ones.  Rows resynced on the frame add N
-    exponentials each, which no closed form predicts.  In
+    In "full" mode M rows, M columns and M value columns, all among the
+    changed ones, go through ``frame_plan``: a patched product costs 2NMD
+    (row/column scatter, aligned delta identity) and a whole one the exact
+    block's N*N*D; a patched attention-value product pays the forced
+    gates' changes and the delta products' adds.  The value gate's M*D
+    change subtractions are paid on every frame.  Rows resynced on the
+    frame add N exponentials each, which no closed form predicts.  In
     "tokenwise_only" and "stgt" modes both products are recomputed from the
     buffered tensors, so only token-wise work scales with m.  There is no
     closed form for "spatial_pool": the number of refreshed pooled columns
@@ -170,15 +186,16 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
         raise ValueError(f"m must be at most n = {n}, got {m}")
     token_wise = 3 * m * d * d + m * d * d + 2 * mlp_ratio * m * d * d
     if mode == "full":
-        qk = av = min(2 * n * m * d, n * n * d)
+        whole_qk, patch, whole_av = frame_plan(n, n, m, m, m, 0)
+        qk = n * n * d if whole_qk else 2 * n * m * d
+        av = n * n * d if whole_av else 2 * n * m * d
         gate_norms = 4 * n * d            # qkv, value, projection, MLP gates
         adds = 4 * n * d + m * d          # their error subtractions and
                                           # the value gate's changes
-        if 0 < 2 * m < n:                 # av by the delta identity:
+        if m and not whole_av:            # av by the delta identity:
             adds += h * m * n             # the forced gates' changes,
             adds += 2 * n * d + m * d     # the delta products' extra adds
-        patch = patched_softmax_exps(n, n, m, m, m) < n * n
-        exps = patched_softmax_exps(n, n, m, m, 0) if patch else n * n
+        exps = patched_softmax_exps(n, n, m, m) if patch else n * n
     elif mode in ("tokenwise_only", "stgt"):
         qk = av = n * n * d
         gate_norms = 3 * n * d            # qkv, projection, MLP gates

@@ -186,20 +186,19 @@ def measure_walltime(model_cfg: ModelConfig, stream_cfg: StreamConfig,
     return {name: float(np.median(ms)) for name, ms in times.items()}
 
 
-def write_run_csv(report: RunReport, path) -> None:
+def _write_csv(rows: list[dict], columns: list[str], path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for row in report.rows:
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def write_run_csv(report: RunReport, path) -> None:
+    _write_csv(report.rows, CSV_COLUMNS, path)
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    _write_csv(rows, SWEEP_COLUMNS, path)
 
 
 def write_summary_json(report: RunReport, path) -> None:

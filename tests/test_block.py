@@ -397,24 +397,29 @@ class TestModel:
             assert rel_err(tokens, exact) < 1e-5
 
 
-def _value_gate_frames(mode, r, rho, seed):
-    """Step a 2-block model of 64 tokens at budget r over a sparse_change
+def _value_gate_frames(mode, policy, rho, seed):
+    """Step a 2-block model of 64 tokens under policy over a sparse_change
     stream; after each frame but the first, yield each block with the
-    value gate's and the qkv gate's references before the frame."""
+    value gate's and the qkv gate's references and the pooled values
+    before the frame."""
     n = 64
     cfg = ModelConfig(blocks=2, n=n, d=8, heads=2, seed=seed, mode=mode,
                       pool_p=2 if mode == "spatial_pool" else 1,
-                      policy=Policy("top_r", r=r))
+                      policy=policy)
     model = Model(cfg)
     stream = StreamConfig(n=n, d=8, frames=8, mode="sparse_change", rho=rho,
                           seed=seed + 1)
     for t, frame in enumerate(gen_stream(stream)):
-        before = [(blk.attn.v_gate.u.copy(), blk.gate_qkv.u.copy())
-                  for blk in model.blocks]
+        before = [(blk.attn.v_gate.u.copy(), blk.gate_qkv.u.copy(),
+                   _pooled_values(blk.attn)) for blk in model.blocks]
         model.step(frame)
         if t:
-            for blk, (v_ref, qkv_ref) in zip(model.blocks, before):
-                yield blk, v_ref, qkv_ref
+            for blk, refs in zip(model.blocks, before):
+                yield blk, *refs
+
+
+def _pooled_values(attn):
+    return pool_tokens(attn.v_buf.b, attn.grid, attn.pool).copy()
 
 
 def _change_norms(gate, before, idx):
@@ -422,29 +427,38 @@ def _change_norms(gate, before, idx):
 
 
 class TestValueGate:
-    @pytest.mark.parametrize("mode", ["full", "spatial_pool"])
-    def test_takes_only_changed_columns_below_a_full_budget(self, mode):
-        # every pick changed and lies among the frame's changed columns, and
-        # no changed column is left over: the value gate's reference is the
-        # pooled value buffer after every frame
-        picks = 0
-        for blk, v_ref, _ in _value_gate_frames(mode, r=8, rho=0.1, seed=40):
+    @pytest.mark.parametrize("mode, policy", [
+        ("full", Policy("top_r", r=8)),
+        ("spatial_pool", Policy("top_r", r=8)),
+        ("full", Policy("threshold", h=0.3)),
+        ("spatial_pool", Policy("threshold", h=0.3)),
+    ], ids=["full", "spatial_pool", "full-threshold", "spatial_pool-threshold"])
+    def test_takes_only_changed_columns_below_a_full_budget(self, mode, policy):
+        # every pick is a column whose value changed on the frame, among the
+        # frame's changed columns; under top_r no changed column is left
+        # over, so the value gate's reference is the pooled value buffer
+        # after every frame, while a threshold leaves changes below h over
+        picks = left_over = 0
+        for blk, v_ref, _, v_before in _value_gate_frames(mode, policy,
+                                                          rho=0.1, seed=40):
             attn = blk.attn
             idx = attn.v_gate.last_idx
             assert (_change_norms(attn.v_gate, v_ref, idx) > 0).all()
+            v_now = _pooled_values(attn)
+            assert (np.linalg.norm(v_now[idx] - v_before[idx], axis=1) > 0).all()
             cols = pool_index_set(blk.gate_qkv.last_idx, attn.grid, attn.pool)
             assert np.isin(idx, cols).all()
-            np.testing.assert_array_equal(
-                attn.v_gate.u, pool_tokens(attn.v_buf.b, attn.grid, attn.pool))
+            left_over += (attn.v_gate.u != v_now).any(axis=1).sum()
             picks += idx.size
         assert picks > 0
+        assert (left_over == 0) == (policy.kind == "top_r")
 
     def test_takes_every_column_at_a_budget_of_every_pooled_column(self):
         # N_kv = 16 <= r = 20 < N = 64: the value gate takes every column,
         # unchanged ones too, while the qkv gate skips unchanged tokens
         unchanged_columns = skipped_tokens = 0
-        for blk, v_ref, qkv_ref in _value_gate_frames("spatial_pool", r=20,
-                                                      rho=0.1, seed=42):
+        for blk, v_ref, qkv_ref, _ in _value_gate_frames(
+                "spatial_pool", Policy("top_r", r=20), rho=0.1, seed=42):
             attn = blk.attn
             idx = attn.v_gate.last_idx
             np.testing.assert_array_equal(idx, np.arange(attn.n_kv))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from tokengate.costs import (
     cost_record,
     count_block_baseline,
     count_block_eventful,
+    frame_plan,
     memory_report,
+    patched_softmax_exps,
 )
 from tokengate.gates import Policy
 from tokengate.rng import SplitRng
@@ -87,6 +91,34 @@ class TestEventfulFormula:
     def test_no_closed_form_for_pooled(self):
         with pytest.raises(ValueError):
             count_block_eventful(16, 4, 8, 2, mode="spatial_pool")
+
+
+class TestFramePlan:
+    def test_similarity_taken_whole_at_parity(self):
+        # rows * n_kv + n * cols = 4 * 4 + 8 * 2 = n * n_kv
+        assert frame_plan(8, 4, 4, 2, 0, 0)[0]
+        assert not frame_plan(8, 4, 3, 2, 0, 0)[0]
+
+    def test_softmax_taken_whole_at_parity(self):
+        # 3 * 8 + 6 * (2 * 2 + 1) + 9 * 2 = 72 = n * n_kv
+        assert patched_softmax_exps(9, 8, 3, 2) + 9 * 2 == 9 * 8
+        assert frame_plan(9, 8, 3, 2, 2, 0) == (False, False, False)
+        assert frame_plan(9, 8, 3, 2, 1, 0) == (False, True, False)
+
+    def test_attention_value_taken_whole_at_half_the_columns(self):
+        assert frame_plan(8, 4, 2, 2, 2, 0)[2]
+        assert not frame_plan(8, 4, 1, 1, 1, 0)[2]
+
+    def test_a_value_column_outside_the_changed_ones_never_patches(self):
+        patched = 0
+        for n, n_kv, rows, cols, values in itertools.product(
+                range(1, 9), range(1, 9), range(9), range(9), range(1, 9)):
+            if n_kv > n or rows > n or cols > n_kv or values > n_kv:
+                continue
+            for outside in range(1, values + 1):
+                assert not frame_plan(n, n_kv, rows, cols, values, outside)[1]
+            patched += frame_plan(n, n_kv, rows, cols, values, 0)[1]
+        assert patched > 0
 
 
 @pytest.mark.parametrize("ratio", [-1, 0])

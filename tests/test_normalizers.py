@@ -28,6 +28,7 @@ from tokengate.costs import (
     CostLedger,
     count_block_baseline,
     count_block_eventful,
+    frame_plan,
     patched_softmax_exps,
 )
 from tokengate.gates import Policy
@@ -64,7 +65,7 @@ def test_resync_when_the_dominant_column_is_replaced():
     assert state_within_bounds(deviation) and deviation[2] <= 1e-13
     np.testing.assert_allclose(state.row_offset[0], 0.0)
     # the value column is the changed one: none is read from B
-    assert snap["nonlinear_elems"] == (patched_softmax_exps(n, n, 1, 1, 0)
+    assert snap["nonlinear_elems"] == (patched_softmax_exps(n, n, 1, 1)
                                        + n * state.resynced)
 
 
@@ -81,7 +82,7 @@ def test_rescale_when_a_new_score_exceeds_the_offset():
     np.testing.assert_allclose(state.row_sum[0], 1.0 + 15.0 * np.exp(-10.0 / np.sqrt(2.0)))
     deviation = state_deviation(state)
     assert state_within_bounds(deviation) and deviation[2] <= 1e-13
-    assert snap["nonlinear_elems"] == patched_softmax_exps(n, n, 1, 1, 0)
+    assert snap["nonlinear_elems"] == patched_softmax_exps(n, n, 1, 1)
 
 
 def _changed_frame(rng, state, idx, still=()):
@@ -98,20 +99,25 @@ def _changed_frame(rng, state, idx, still=()):
 
 def test_patched_attention_matches_the_softmax_of_b(monkeypatch):
     """On a patched frame the value update is handed exactly the softmax of
-    B at the value gate's columns, and only those outside the changed
-    columns are exponentiated anew, whether the value gate's columns are
-    the changed ones (top_r, also pool 2 under a budget above the changed
-    cells), fewer of them (threshold, a value left as it was) or one that
-    changed on an earlier frame, outside this frame's (a budget below the
-    changed values leaves it over)."""
+    B at the value gate's columns, none of them exponentiated anew, whether
+    they are the changed columns (top_r, also pool 2 under a budget above
+    the changed cells) or fewer of them (threshold, a value left as it
+    was).  A value column outside this frame's changed ones (it changed on
+    an earlier frame, and a budget below the changed values left it over)
+    has no exponentials in the patch, so that frame takes the softmax
+    whole."""
     handed = []   # the attention columns the value update is given
     update = attention.av_delta_update
+    whole = []
+    full_softmax = AttentionState._full_softmax
 
     def spy(av, attn_now, a_gate, idx, *rest):
         handed.append((attn_now.copy(), idx))
         update(av, attn_now, a_gate, idx, *rest)
 
     monkeypatch.setattr(attention, "av_delta_update", spy)
+    monkeypatch.setattr(AttentionState, "_full_softmax",
+                        lambda self, h: whole.append(h) or full_softmax(self, h))
     rng = SplitRng(40)
     cases = []
     state = _single_head_state()
@@ -131,22 +137,28 @@ def test_patched_attention_matches_the_softmax_of_b(monkeypatch):
                rng.normal((16, 4)))
     _changed_frame(rng, state, np.array([3, 8]))
     left = np.setdiff1d([3, 8], handed.pop()[1])
+    whole.clear()
     cases.append((state, np.array([12]),
                   _changed_frame(rng, state, np.array([12]), [12])))
     assert len(handed) == len(cases)
+    assert whole == [0]   # the value left over: that frame is taken whole
     for (state, rows, snap), (got, v_idx) in zip(cases, handed):
         n, n_kv = state.n, state.n_kv
         cols = attention.pool_index_set(rows, state.grid, state.pool)
-        assert patched_softmax_exps(n, n_kv, rows.size, cols.size,
-                                    v_idx.size) < n * n_kv
+        outside = np.setdiff1d(v_idx, cols).size
+        _, patch, _ = frame_plan(n, n_kv, rows.size, cols.size, v_idx.size,
+                                 outside)
+        assert patch == (outside == 0)
         scaled = state.b[0] / np.sqrt(state.dh)
         scaled -= state.row_offset[0][:, None]
         want = np.exp(scaled)[:, v_idx] / state.row_sum[0][:, None]
         np.testing.assert_array_equal(got, want)
-        outside = np.setdiff1d(v_idx, cols).size
-        assert snap["nonlinear_elems"] == (
-            rows.size * n_kv + (n - rows.size) * (2 * cols.size + 1)
-            + n * outside + n_kv * state.resynced)
+        if patch:
+            assert snap["nonlinear_elems"] == (
+                rows.size * n_kv + (n - rows.size) * (2 * cols.size + 1)
+                + n_kv * state.resynced)
+        else:
+            assert snap["nonlinear_elems"] == n * n_kv
     # the value gate's columns: the changed one; two of three; the changed
     # cell; two of the three changed cells, 0, 6, 10; the value left over
     assert [idx.tolist() for _, idx in handed] == [[0], [0, 9], [0], [0, 10],
@@ -158,8 +170,8 @@ def test_patch_decision_charges_every_value_column(monkeypatch):
     charged, would cost at least its N x N_kv exponentials, although the
     patch reads none of them from B when they are the changed columns."""
     n, m = 16, 5
-    assert (patched_softmax_exps(n, n, m, m, 0) < n * n
-            <= patched_softmax_exps(n, n, m, m, m))
+    assert (patched_softmax_exps(n, n, m, m) < n * n
+            <= patched_softmax_exps(n, n, m, m) + n * m)
     whole = []
     full_softmax = AttentionState._full_softmax
     monkeypatch.setattr(AttentionState, "_full_softmax",
