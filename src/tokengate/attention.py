@@ -5,25 +5,28 @@ token stream:
 
   * ``B`` — the raw query-key similarity matrix.  When only ``m`` tokens
     changed, the rows at those indices are recomputed against the full key
-    buffer and the columns at those indices against the full query buffer.
-    The columns are written in blocks of B's rows, one cache-sized pass
-    over B that can also read out the old scores there just before it
-    overwrites them; then the rows are written whole.
+    buffer and the columns at those indices against the full query buffer,
+    key-major (changed keys x queries).  The columns are written in blocks
+    of B's rows, one cache-sized pass over B that can also read out the
+    old scores there, key-major too, just before it overwrites them; then
+    the rows are written whole.
   * per-row softmax normalizers: an offset at or above every scaled score
     of the row, and the sum of the row's exponentials taken against it, so
-    that A = exp(B / sqrt(d_head) - offset) / sum.  Rows whose query changed
-    are recomputed from the fresh row product; every other row has its sum
-    patched at the changed key columns, subtracting the old exponentials
-    (read out of B by the pass that writes the new scores) and adding the
-    new ones, and rescaled online when a new score rises above its offset.
-    A row whose sum cancellation leaves at or below ``RESYNC_FRACTION`` of
+    that A = exp(B / sqrt(d_head) - offset) / sum.  Every row has its sum
+    patched at the changed key columns at once, reducing along the key
+    axis: the old exponentials (read out of B by the pass that writes the
+    new scores) are subtracted and the new ones added, and the sum is
+    rescaled online when a new score rises above its offset.  Rows whose
+    query changed then overwrite that from the fresh row product, and a
+    row whose sum cancellation leaves at or below ``RESYNC_FRACTION`` of
     its value before the patch is recomputed from ``B``.
   * an attention-side delta gate whose tokens are the *columns* of the
     row-softmaxed matrix, forced to select the same indices as the value
     gate (the columns whose value changed, or at a budget of every column
     all of them) so the delta products stay aligned.  On the patched path
     A is only formed at those columns, out of the exponentials the patch
-    has taken at the changed ones.
+    has taken at the changed ones, as contiguous rows (columns x queries):
+    the layout of the gate's reference, which stores A transposed.
   * ``av`` — the cached attention-weighted value sum, advanced by the
     identity  new = old + A_now dV + dA (V_now - dV)  with every factor cut
     down to the selected columns/rows.
@@ -131,11 +134,12 @@ def msa_baseline(x_norm: TokenMatrix, w: AttentionWeights,
 
 # Bytes of B's rows per block of qk_sparse_update's column pass, so that a
 # block's cache lines are still in cache when its old scores have been read
-# and its new ones are written: 32 rows at N_kv = 1024.  Gathering and
-# writing 128 columns of a 1024 x 1024 B took 1.69, 1.49, 1.53, 1.93 and
-# 2.83 ms in blocks of 16, 32, 64, 128 and 256 rows, against 3.29 ms through
-# one N x |cols| flat index (1 BLAS thread, minimum of 21 rounds over 12
-# matrices).
+# and its new ones are written: 32 rows at N_kv = 1024.  Reading 128 columns
+# of a 1024 x 1024 B out key-major and writing them from a key-major source
+# took 1.71, 1.52, 1.50, 1.80 and 2.55 ms in blocks of 16, 32, 64, 128 and
+# 256 rows (1 BLAS thread, minimum of 41 interleaved rounds over 12
+# matrices): 32 and 64 rows tie.  Query-major, through one N x |cols| flat
+# index, it took 3.29 ms.
 COLUMN_BLOCK_BYTES = 256 * 1024
 
 
@@ -147,17 +151,18 @@ def qk_sparse_update(b_matrix: TokenMatrix, q_buf: TokenMatrix, k_buf: TokenMatr
     ``cols`` changed.
 
     ``q_buf``/``k_buf`` hold every query and key, the fresh ones included.
-    Rows are recomputed against all keys and columns against all queries;
-    the overlap block is computed in both products, which keeps the update
-    at two plain dense products, and B holds the column product's values
-    there.  The columns are written in blocks of ``COLUMN_BLOCK_BYTES`` of
-    B's rows, one pass over B, so B must be C-contiguous: each block is then
-    one stretch of memory.  Given ``old`` (queries x cols), each block's
-    scores at ``cols`` are copied into it just before the block is written,
-    so it ends up holding B's columns as they were before the call.  Without
-    pooling ``rows`` and ``cols`` are the same index set.  Returns the row
-    product (rows x keys) and the column product (queries x cols): the
-    values B now holds at ``rows`` and at ``cols``.
+    Rows are recomputed against all keys and columns against all queries,
+    key-major: the column product is ``k_buf[cols] @ q_buf.T``.  The overlap
+    block is computed in both products, which keeps the update at two plain
+    dense products, and B holds the column product's values there.  The
+    columns are written in blocks of ``COLUMN_BLOCK_BYTES`` of B's rows, one
+    pass over B, so B must be C-contiguous: each block is then one stretch
+    of memory.  Given ``old`` (cols x queries), each block's scores at
+    ``cols`` are copied into it just before the block is written, so it
+    ends up holding B's columns, transposed, as they were before the call.
+    Without pooling ``rows`` and ``cols`` are the same index set.  Returns
+    the row product (rows x keys) and the column product (cols x queries):
+    the values B now holds at ``rows`` and, transposed, at ``cols``.
     """
     ledger = ledger or NullLedger()
     if b_matrix.shape != (q_buf.shape[0], k_buf.shape[0]):
@@ -167,18 +172,18 @@ def qk_sparse_update(b_matrix: TokenMatrix, q_buf: TokenMatrix, k_buf: TokenMatr
     n, n_kv = b_matrix.shape
     rows = as_index_set(rows, n)
     cols = as_index_set(cols, n_kv)
-    if old is not None and old.shape != (n, cols.size):
-        raise ValueError(f"old scores must have shape {(n, cols.size)}, "
+    if old is not None and old.shape != (cols.size, n):
+        raise ValueError(f"old scores must have shape {(cols.size, n)}, "
                          f"got {old.shape}")
     new_rows = ledger.matmul("qk", q_buf[rows], k_buf.T)
-    new_cols = ledger.matmul("qk", q_buf, k_buf[cols].T)
-    new_rows[:, cols] = new_cols[rows]
+    new_cols = ledger.matmul("qk", k_buf[cols], q_buf.T)
+    new_rows[:, cols] = new_cols[:, rows].T
     step = max(1, COLUMN_BLOCK_BYTES // (b_matrix.itemsize * n_kv))
     for start in range(0, n, step):
         block = b_matrix[start:start + step]
         if old is not None:
-            old[start:start + step] = block[:, cols]
-        block[:, cols] = new_cols[start:start + step]
+            old[:, start:start + step] = block[:, cols].T
+        block[:, cols] = new_cols[:, start:start + step].T
     b_matrix[rows] = new_rows
     return new_rows, new_cols
 
@@ -190,11 +195,13 @@ def av_delta_update(av: TokenMatrix, attn_now: TokenMatrix, a_gate: DeltaGate,
 
     ``idx`` is the value gate's selection, which the attention-side gate is
     forced to reuse; ``attn_now`` holds the current row-softmaxed attention
-    at those columns only (queries x |idx|); ``v_delta``/``v_now`` are the
-    gathered value changes and updated values at idx.  After the call ``av``
-    equals (gate reference A) @ (gate reference V) up to float rounding,
-    whatever was selected.  The attention changes, one subtraction per
-    element, are counted here with the delta products' adds.
+    at those columns only (queries x |idx|), whose transpose the gate
+    writes as its rows: a patched frame hands over the transposed view of
+    contiguous rows, so they are written as they are.  ``v_delta`` and
+    ``v_now`` are the gathered value changes and updated values at idx.
+    After the call ``av`` equals (gate reference A) @ (gate reference V) up
+    to float rounding, whatever was selected.  The attention changes, one
+    subtraction per element, are counted here with the delta products' adds.
     """
     ledger = ledger or NullLedger()
     idx = as_index_set(idx, a_gate.n)
@@ -327,9 +334,9 @@ class AttentionState:
         else:
             vh_now = head_split(u_v[v_idx], self.heads)
             vh_delta = head_split(v_changes, self.heads)
-        others = np.setdiff1d(np.arange(n), rows, assume_unique=True) if patch else None
-        # B's scores at the changed columns before the update, for the patch
-        old = np.empty((n, cols.size)) if patch else None
+        # B's scores at the changed columns before the update, key-major, for
+        # the patch
+        old = np.empty((cols.size, n)) if patch else None
         self.resynced = 0
         for h in range(self.heads):
             if whole_qk:
@@ -338,8 +345,10 @@ class AttentionState:
                 new_rows, new_cols = qk_sparse_update(self.b[h], qh[h], kh[h],
                                                       rows, cols, self.ledger, old)
             if patch:
-                attn_v = self._patched_softmax(h, rows, new_rows, others,
-                                               old[others], cols, new_cols, v_idx)
+                # the attention gate's contiguous rows, handed over as the
+                # queries x columns view the value update takes
+                attn_v = self._patched_softmax(h, rows, new_rows, old, cols,
+                                               new_cols, v_idx).T
             else:
                 attn_v = self._full_softmax(h)
                 if not every_v:
@@ -362,41 +371,43 @@ class AttentionState:
         attn /= self.row_sum[h][:, None]
         return attn
 
-    def _patched_softmax(self, h, rows, new_rows, others, old, cols, new_cols,
-                         v_idx):
+    def _patched_softmax(self, h, rows, new_rows, old, cols, new_cols, v_idx):
         """Bring head h's normalizers up to date after B changed at query
         rows ``rows``, now holding ``new_rows``, and at key columns ``cols``,
-        where the other rows held ``old`` and every row now holds
-        ``new_cols``; return the attention at columns v_idx, which lie among
-        ``cols`` and so reuse the exponentials of the row recompute, the
-        patch and the resync.
+        where every query held ``old`` and now holds ``new_cols``, both
+        key-major (|cols| x queries).  Returns the attention at the value
+        gate's columns v_idx in the same layout, |v_idx| contiguous rows:
+        they lie among ``cols`` and so reuse the exponentials of the patch,
+        the row recompute and the resync.
+
+        Every query is patched at once along the key axis; the changed
+        rows then overwrite their entries from their whole-row recompute,
+        and so do the rows resynced after cancellation.
         """
         scale = np.sqrt(self.dh)
         offset, total = self.row_offset[h], self.row_sum[h]
-        # new_cols becomes every row's exponentials at cols against its offset
-        new_cols[rows] = self._recompute_rows(h, rows, new_rows)[:, cols]
+        # new_cols becomes every query's exponentials at cols against its offset
         if cols.size:
-            prev_offset, prev_total = offset[others], total[others]
             old /= scale
-            old -= prev_offset[:, None]
-            kept = prev_total - self._exp(old).sum(axis=1)
-            new = new_cols[others]
-            new /= scale
-            new_offset = np.maximum(prev_offset, new.max(axis=1))
-            new -= new_offset[:, None]
-            total[others] = (kept * self._exp(prev_offset - new_offset)
-                             + self._exp(new).sum(axis=1))
-            offset[others] = new_offset
-            new_cols[others] = new
-            stale = others[~(kept > RESYNC_FRACTION * prev_total)]
+            old -= offset
+            kept = total - self._exp(old).sum(axis=0)
+            synced = kept > RESYNC_FRACTION * total
+            synced[rows] = True          # recomputed whole below
+            new_cols /= scale
+            new_offset = np.maximum(offset, new_cols.max(axis=0))
+            new_cols -= new_offset
+            total[:] = (kept * self._exp(offset - new_offset)
+                        + self._exp(new_cols).sum(axis=0))
+            offset[:] = new_offset
+            stale = np.flatnonzero(~synced)
             self.resynced += stale.size
-            new_cols[stale] = self._recompute_rows(h, stale, self.b[h][stale])[:, cols]
+            new_cols[:, stale] = self._recompute_rows(
+                h, stale, self.b[h][stale])[:, cols].T
+        new_cols[:, rows] = self._recompute_rows(h, rows, new_rows)[:, cols].T
         exps = new_cols
         if v_idx.size < cols.size:
-            # a C-ordered copy: new_cols[:, at] is F-ordered, and the value
-            # update's products would round differently on it
-            exps = np.take(new_cols, np.searchsorted(cols, v_idx), axis=1)
-        exps /= total[:, None]
+            exps = new_cols[np.searchsorted(cols, v_idx)]
+        exps /= total
         return exps
 
     def _recompute_rows(self, h, rows, scores):

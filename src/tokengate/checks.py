@@ -64,11 +64,20 @@ def qk_instances(count: int, seed: int):
 
 
 def check_qk_invariant(instances: int = 100, seed: int = 0) -> tuple[str, bool, str]:
+    """B after the update against queries times keys, and the old scores
+    the update reads out (key-major, which the patched softmax takes)
+    exactly equal to B's columns from before the call."""
     worst = 0.0
+    read_out = True
     for b, q, k, idx in qk_instances(instances, seed):
-        qk_sparse_update(b, q, k, idx, idx)
+        before = b[:, idx].T.copy()
+        old = np.empty_like(before)
+        qk_sparse_update(b, q, k, idx, idx, old=old)
         worst = max(worst, float(np.abs(b - q @ k.T).max()))
-    return ("qk_sparse_update_invariant", worst <= QK_TOL, f"worst abs dev {worst:.2e}")
+        read_out &= np.array_equal(old, before)
+    return ("qk_sparse_update_invariant", worst <= QK_TOL and read_out,
+            f"worst abs dev {worst:.2e}, old scores "
+            + ("read out exactly" if read_out else "differ from B's"))
 
 
 def random_attention(rng: SplitRng, n: int) -> np.ndarray:

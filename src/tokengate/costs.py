@@ -110,10 +110,13 @@ def patched_softmax_exps(n: int, n_kv: int, rows: int, cols: int) -> int:
     """Exponentials one head's patched softmax evaluates, resyncs aside.
 
     ``rows`` changed queries are recomputed against all n_kv keys; when
-    ``cols`` key columns changed, each other row pays its old and new
-    scores there and one rescale factor.  A resynced row adds n_kv more.
+    ``cols`` key columns changed, every one of the n queries, the changed
+    ones included, pays its old and new scores there and one rescale
+    factor, since the patch runs over all queries at once along the key
+    axis before the changed rows overwrite theirs.  A resynced row adds
+    n_kv more.
     """
-    patched = (n - rows) * (2 * cols + 1) if cols else 0
+    patched = n * (2 * cols + 1) if cols else 0
     return rows * n_kv + patched
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokengate import attention
+from tokengate import attention, checks
 from tokengate.attention import (
     AttentionState,
     AttentionWeights,
@@ -18,6 +18,7 @@ from tokengate.attention import (
     pool_tokens,
     qk_sparse_update,
 )
+from tokengate.block import Model, ModelConfig
 from tokengate.checks import (
     qk_instances,
     random_attention,
@@ -27,6 +28,7 @@ from tokengate.checks import (
 from tokengate.costs import CostLedger, NullLedger
 from tokengate.gates import DeltaGate, Policy
 from tokengate.rng import SplitRng
+from tokengate.streams import StreamConfig, gen_stream
 
 from oracles import qk_sparse_update_nonoverlap
 
@@ -189,11 +191,11 @@ class TestQkSparseUpdate:
             q[rows], k[cols] = rng.normal((rows.size, 4)), rng.normal((cols.size, 4))
             want = b.copy()
             want[rows, :] = q[rows] @ k.T
-            want[:, cols] = q @ k[cols].T
+            want[:, cols] = (k[cols] @ q.T).T
             new_rows, new_cols = qk_sparse_update(b, q, k, rows, cols)
             np.testing.assert_array_equal(b, want)
             np.testing.assert_array_equal(new_rows, want[rows])
-            np.testing.assert_array_equal(new_cols, want[:, cols])
+            np.testing.assert_array_equal(new_cols, want[:, cols].T)
 
     @staticmethod
     def _fancy_reference(n, n_kv, rows, cols, seed):
@@ -206,7 +208,7 @@ class TestQkSparseUpdate:
         q[rows], k[cols] = rng.normal((rows.size, 4)), rng.normal((cols.size, 4))
         want = b.copy()
         want[rows, :] = q[rows] @ k.T
-        want[:, cols] = q @ k[cols].T
+        want[:, cols] = (k[cols] @ q.T).T
         return q, k, b, rows, cols, want
 
     @pytest.mark.parametrize("rows, cols", [
@@ -224,15 +226,15 @@ class TestQkSparseUpdate:
         assert attention.COLUMN_BLOCK_BYTES // (8 * n_kv) == 4
         q, k, b, rows, cols, want = self._fancy_reference(n, n_kv, rows, cols, 16)
         before = b.copy()
-        old = np.full((n, cols.size), np.nan) if with_old else None
+        old = np.full((cols.size, n), np.nan) if with_old else None
         new_rows, new_cols = qk_sparse_update(b, q, k, rows, cols, old=old)
         np.testing.assert_array_equal(b, want)
         np.testing.assert_array_equal(new_rows, want[rows])
-        np.testing.assert_array_equal(new_cols, want[:, cols])
+        np.testing.assert_array_equal(new_cols, want[:, cols].T)
         if with_old:
-            np.testing.assert_array_equal(old, before[:, cols])
+            np.testing.assert_array_equal(old, before[:, cols].T)
 
-    @pytest.mark.parametrize("shape", [(10, 3), (9, 2), (10,)])
+    @pytest.mark.parametrize("shape", [(3, 10), (2, 9), (10, 2), (10,)])
     def test_wrongly_shaped_old_scores_rejected_before_b_changes(self, shape):
         q, k, b, rows, cols, _ = self._fancy_reference(10, 8192, [1], [7, 9], 17)
         before = b.copy()
@@ -254,15 +256,15 @@ class TestQkSparseUpdate:
         q, k, b, rows, cols, want = self._fancy_reference(n, n_kv, rows, cols,
                                                           n * 13 + n_kv)
         before = b.copy()
-        old = np.full((n, cols.size), np.nan) if with_old else None
+        old = np.full((cols.size, n), np.nan) if with_old else None
         with mock.patch.object(attention, "COLUMN_BLOCK_BYTES",
                                block_rows * 8 * n_kv):
             new_rows, new_cols = qk_sparse_update(b, q, k, rows, cols, old=old)
         np.testing.assert_array_equal(b, want)
         np.testing.assert_array_equal(new_rows, want[rows])
-        np.testing.assert_array_equal(new_cols, want[:, cols])
+        np.testing.assert_array_equal(new_cols, want[:, cols].T)
         if with_old:
-            np.testing.assert_array_equal(old, before[:, cols])
+            np.testing.assert_array_equal(old, before[:, cols].T)
 
     def test_overlap_block_holds_the_column_product(self):
         # should the two products round the overlap apart, B and the row
@@ -270,14 +272,29 @@ class TestQkSparseUpdate:
         class SkewedRows(NullLedger):
             def matmul(self, category, a, b):
                 out = a @ b
-                return out + 1.0 if out.shape == (3, 8) else out
+                # the row product is the one taken against every key
+                return out + 1.0 if np.shares_memory(b, k) else out
 
         _, q, k, b = self._instance(15, 8, 4)
         idx = np.array([1, 4, 6])
         new_rows, new_cols = qk_sparse_update(b, q, k, idx, idx, SkewedRows())
-        np.testing.assert_array_equal(b[np.ix_(idx, idx)], new_cols[idx])
+        np.testing.assert_array_equal(b[np.ix_(idx, idx)], new_cols[:, idx].T)
         np.testing.assert_array_equal(new_rows, b[idx])
-        np.testing.assert_array_equal(new_cols, b[:, idx])
+        np.testing.assert_array_equal(new_cols, b[:, idx].T)
+
+    def test_invariant_check_covers_the_old_scores(self, monkeypatch):
+        # a read-out taken after the write holds the new scores, not the old
+        assert checks.check_qk_invariant(20)[1]
+        update = checks.qk_sparse_update
+
+        def late_read_out(b, q, k, rows, cols, ledger=None, old=None):
+            out = update(b, q, k, rows, cols, ledger, old)
+            old[...] = b[:, cols].T
+            return out
+
+        monkeypatch.setattr(checks, "qk_sparse_update", late_read_out)
+        _, passed, detail = checks.check_qk_invariant(20)
+        assert not passed and "differ" in detail
 
     def test_rejects_a_matrix_that_is_not_c_contiguous(self):
         # a block of a non-contiguous B's rows is not one stretch of memory
@@ -476,6 +493,43 @@ class TestAttentionState:
             want = head_merge(np.stack([
                 part for part in _exact_heads(x, w)]))
             assert np.abs(got - want).max() < 1e-10
+
+    @pytest.mark.parametrize("mode, pool", [("full", 1), ("spatial_pool", 2)])
+    @pytest.mark.parametrize("policy", [Policy("top_r", r=4),
+                                        Policy("threshold", h=0.3)],
+                             ids=["top_r", "threshold"])
+    def test_patched_frames_hand_the_attention_gates_contiguous_rows(
+            self, monkeypatch, mode, pool, policy):
+        # the patch builds A's changed columns key-major, the layout of the
+        # attention gates' references, so they are written row by row
+        n, d, heads, frames = 64, 8, 2, 6
+        forced = DeltaGate.forced
+        full_softmax = AttentionState._full_softmax
+        calls = []     # (width, C-contiguous) of every forced write
+        whole = []
+
+        def spy_forced(gate, rows, idx):
+            calls.append((gate.u.shape[1], rows.flags.c_contiguous))
+            return forced(gate, rows, idx)
+
+        monkeypatch.setattr(DeltaGate, "forced", spy_forced)
+        monkeypatch.setattr(AttentionState, "_full_softmax",
+                            lambda self, h: whole.append(h) or full_softmax(self, h))
+        model = Model(ModelConfig(blocks=1, n=n, d=d, heads=heads, mode=mode,
+                                  pool_p=pool, seed=20, policy=policy))
+        stream = StreamConfig(n=n, d=d, frames=frames, mode="sparse_change",
+                              rho=0.05, sigma=1.0, seed=21)
+        for t, frame in enumerate(gen_stream(stream)):
+            model.step(frame)
+            if t == 0:     # the first frame takes every token, whole
+                assert whole == [0, 1]
+                whole.clear()
+                calls.clear()
+        assert whole == []
+        assert all(contiguous for _, contiguous in calls)
+        # every head's attention gate on every later frame, besides the
+        # value gate's own picks
+        assert sum(width == n for width, _ in calls) == heads * (frames - 1)
 
     def test_attention_rows_sum_to_one(self):
         from tokengate.kernels import softmax_rows

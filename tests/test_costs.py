@@ -100,10 +100,11 @@ class TestFramePlan:
         assert not frame_plan(8, 4, 3, 2, 0, 0)[0]
 
     def test_softmax_taken_whole_at_parity(self):
-        # 3 * 8 + 6 * (2 * 2 + 1) + 9 * 2 = 72 = n * n_kv
-        assert patched_softmax_exps(9, 8, 3, 2) + 9 * 2 == 9 * 8
-        assert frame_plan(9, 8, 3, 2, 2, 0) == (False, False, False)
-        assert frame_plan(9, 8, 3, 2, 1, 0) == (False, True, False)
+        # 2 * 8 + 16 * (2 * 2 + 1) + 16 * 2 = 128 = n * n_kv: every query,
+        # the changed ones included, pays the patch
+        assert patched_softmax_exps(16, 8, 2, 2) + 16 * 2 == 16 * 8
+        assert frame_plan(16, 8, 2, 2, 2, 0) == (False, False, False)
+        assert frame_plan(16, 8, 2, 2, 1, 0) == (False, True, False)
 
     def test_attention_value_taken_whole_at_half_the_columns(self):
         assert frame_plan(8, 4, 2, 2, 2, 0)[2]

@@ -155,7 +155,7 @@ def test_patched_attention_matches_the_softmax_of_b(monkeypatch):
         np.testing.assert_array_equal(got, want)
         if patch:
             assert snap["nonlinear_elems"] == (
-                rows.size * n_kv + (n - rows.size) * (2 * cols.size + 1)
+                rows.size * n_kv + n * (2 * cols.size + 1)
                 + n_kv * state.resynced)
         else:
             assert snap["nonlinear_elems"] == n * n_kv
@@ -169,7 +169,7 @@ def test_patch_decision_charges_every_value_column(monkeypatch):
     """The softmax is taken whole once patching, with every value column
     charged, would cost at least its N x N_kv exponentials, although the
     patch reads none of them from B when they are the changed columns."""
-    n, m = 16, 5
+    n, m = 16, 4
     assert (patched_softmax_exps(n, n, m, m) < n * n
             <= patched_softmax_exps(n, n, m, m) + n * m)
     whole = []
@@ -180,7 +180,7 @@ def test_patch_decision_charges_every_value_column(monkeypatch):
     state = AttentionState(n, 4, 1, Policy("top_r", r=m), ledger=CostLedger())
     state.step(np.arange(n), rng.normal((n, 4)), rng.normal((n, 4)),
                rng.normal((n, 4)))
-    idx = np.array([1, 4, 7, 10, 13])
+    idx = np.array([1, 4, 7, 10])
     snap = _changed_frame(rng, state, idx)
     np.testing.assert_array_equal(state.v_gate.last_idx, idx)
     assert whole == [0, 0]   # the first frame, then this one
