@@ -329,11 +329,7 @@ class AttentionState:
         whole_qk, patch, whole_av = frame_plan(n, n_kv, rows.size, cols.size,
                                                v_idx.size, outside)
         every_v = v_idx.size == n_kv
-        if whole_av:
-            vh = head_split(u_v, self.heads)
-        else:
-            vh_now = head_split(u_v[v_idx], self.heads)
-            vh_delta = head_split(v_changes, self.heads)
+        vh, vh_delta = head_split(u_v, self.heads), head_split(v_changes, self.heads)
         # B's scores at the changed columns before the update, key-major, for
         # the patch
         old = np.empty((cols.size, n)) if patch else None
@@ -355,7 +351,7 @@ class AttentionState:
                     attn_v = attn_v[:, v_idx]
             if not whole_av:
                 av_delta_update(self.av[h], attn_v, self.a_gates[h], v_idx,
-                                vh_delta[h], vh_now[h], self.ledger)
+                                vh_delta[h], vh[h][v_idx], self.ledger)
                 continue
             gate = self.a_gates[h]
             gate.overwrite(attn_v.T, v_idx)

@@ -8,6 +8,7 @@ tests call them at larger instance counts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable
 
@@ -25,7 +26,7 @@ from .gates import DeltaGate, Gate, Policy, threshold_indices, top_r_indices
 from .harness import relative_l2, run_pair
 from .kernels import softmax_rows
 from .rng import SplitRng
-from .streams import StreamConfig, gen_stream
+from .streams import StreamConfig, iter_stream
 
 QK_TOL = 1e-9            # absolute, B against queries times keys
 AV_TOL = 1e-7            # absolute, cached A V against the gate references' product
@@ -174,9 +175,9 @@ def normalizer_run(model_cfg: ModelConfig, frames: Iterable[np.ndarray],
     if given; returns the worst ``state_deviation`` values (zeros in modes
     without incremental attention) and the worst relative error against
     the oracle of a frame whose budget covers every token.  ``frames`` is
-    any iterable of (n, d) frames, read once in order: a ``gen_stream``
-    array, or ``iter_stream`` cut to length, whose memory does not grow
-    with the number of frames."""
+    any iterable of (n, d) frames, read once in order, such as
+    ``iter_stream`` cut to length, whose memory does not grow with the
+    number of frames."""
     model = Model(model_cfg)
     worst = np.zeros(4)
     for t, frame in enumerate(frames):
@@ -215,8 +216,9 @@ def check_softmax_normalizers(streams: int = 6,
                           pool_p=pool, policy=Policy("top_r", r=n))
         stream = StreamConfig(n=n, d=8, frames=24, mode="sparse_change",
                               rho=0.25, sigma=1.0, seed=seed + i)
+        frames = itertools.islice(iter_stream(stream), stream.frames)
         worst = np.maximum(worst, normalizer_run(
-            cfg, gen_stream(stream), random_schedule(rng, n, stream.frames)))
+            cfg, frames, random_schedule(rng, n, stream.frames)))
     qk, av, norm, full = worst
     passed = state_within_bounds((qk, av, norm)) and full < FULL_BUDGET_TOL
     return ("softmax_normalizers", bool(passed),

@@ -2,13 +2,14 @@
 
 Every run drives the stateless exact model and a stateful gated model over
 the same frames and records, per frame, the selection sizes, operation
-counts, output error, and wall time.  Reports are deterministic given the
-config seeds, wall-time columns aside.
+counts, output error, and the wall time of both sides.  Reports are
+deterministic given the config seeds, wall-time columns aside.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import time
 from dataclasses import dataclass, replace
@@ -16,10 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .block import Model, ModelConfig
-from .costs import CostLedger, NullLedger
+from .costs import CostLedger
 from .gates import Policy
 from .kernels import check_integer
-from .streams import StreamConfig, gen_stream
+from .streams import StreamConfig, iter_stream
 
 CSV_COLUMNS = [
     "frame", "r_effective", "selected_qkv", "selected_p", "selected_mlp",
@@ -46,9 +47,10 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass
 class RunReport:
-    """One paired run: its per-frame rows and the cost ledgers of the gated
-    model and of the exact oracle.  The summary derives from these three;
-    it covers the frames after the first."""
+    """One paired run: its per-frame rows, each with the oracle's and the
+    gated step's ms (``exact_ms``, ``wall_ms``), and the cost ledgers of
+    the gated model and of the exact oracle.  The summary derives from
+    these three; it covers the frames after the first."""
 
     rows: list[dict]
     gated_ledger: CostLedger
@@ -71,50 +73,48 @@ class RunReport:
         }
 
 
-def _paired_steps(model: Model, frames, schedule: list[int] | None = None,
-                  oracle_ledger: CostLedger | None = None):
-    """Per frame: apply the budget schedule, run the exact oracle into
-    ``oracle_ledger``, then the gated step.  Yields (t, exact, exact ms,
-    gated, gated ms); each output is a (tokens, scores) pair."""
-    oracle_ledger = oracle_ledger or NullLedger()
-    for t, frame in enumerate(frames):
-        if schedule:
-            model.set_budget(schedule[min(t, len(schedule) - 1)])
-        oracle_ledger.begin_frame()
-        start = time.perf_counter()
-        exact = model.baseline_frame(frame, oracle_ledger)
-        exact_ms = (time.perf_counter() - start) * 1e3
-        oracle_ledger.end_frame()
-        start = time.perf_counter()
-        gated = model.step(frame)
-        gated_ms = (time.perf_counter() - start) * 1e3
-        yield t, exact, exact_ms, gated, gated_ms
-
-
 def run_pair(model_cfg: ModelConfig, stream_cfg: StreamConfig,
              schedule: list[int] | None = None,
              frames: np.ndarray | list | None = None) -> RunReport:
     """Run the exact oracle and the gated model over one stream.
 
+    Per frame: apply the budget schedule, time the oracle into the oracle
+    ledger (``exact_ms``), then time the gated step (``wall_ms``).
     ``schedule`` holds per-frame budget overrides; a short schedule keeps
     its last value for the remaining frames.  A schedule needs a ``top_r``
-    policy: under a threshold policy it raises ValueError.  Precomputed
-    ``frames`` (an array or nested lists of numbers, as ``Model.step``
-    takes) override the stream config's generator (fixture import).  The
-    summary covers the frames after the first, so a stream of fewer than 2
-    frames raises ValueError.
+    policy: under a threshold policy it raises ValueError.  The stream
+    config's frames are made one at a time, so a run of any length holds
+    one frame.  Precomputed ``frames`` (an array or nested lists of
+    numbers, as ``Model.step`` takes) override them (fixture import) and
+    are checked whole before any model is built.  The summary covers the
+    frames after the first, so a stream of fewer than 2 frames raises
+    ValueError.
     """
-    frames = np.asarray(gen_stream(stream_cfg) if frames is None else frames,
-                        dtype=np.float64)
-    if len(frames) < 2:
+    if frames is None:
+        count, shape = stream_cfg.frames, (stream_cfg.n, stream_cfg.d)
+        frames = itertools.islice(iter_stream(stream_cfg), count)
+    else:
+        frames = np.asarray(frames, dtype=np.float64)
+        count, shape = len(frames), frames.shape[1:]
+    if count < 2:
         raise ValueError("need at least 2 frames: the summary covers the "
                          "frames after the first")
-    if frames.shape[1:] != (model_cfg.n, model_cfg.d):
+    if shape != (model_cfg.n, model_cfg.d):
         raise ValueError("stream and model disagree on token shape")
     report = RunReport([], CostLedger(), CostLedger())
     model = Model(model_cfg, ledger=report.gated_ledger)
-    paired = _paired_steps(model, frames, schedule, report.oracle_ledger)
-    for t, (exact_tokens, exact_scores), _, (tokens, scores), wall_ms in paired:
+    oracle_ledger = report.oracle_ledger
+    for t, frame in enumerate(frames):
+        if schedule:
+            model.set_budget(schedule[min(t, len(schedule) - 1)])
+        oracle_ledger.begin_frame()
+        start = time.perf_counter()
+        exact_tokens, exact_scores = model.baseline_frame(frame, oracle_ledger)
+        exact_ms = (time.perf_counter() - start) * 1e3
+        oracle_ledger.end_frame()
+        start = time.perf_counter()
+        tokens, scores = model.step(frame)
+        wall_ms = (time.perf_counter() - start) * 1e3
         snap = report.gated_ledger.frames[-1]
         report.rows.append({
             "frame": t,
@@ -129,6 +129,7 @@ def run_pair(model_cfg: ModelConfig, stream_cfg: StreamConfig,
             "rel_l2_error": relative_l2(tokens, exact_tokens),
             "cosine": cosine_similarity(tokens, exact_tokens),
             "argmax_match": int(np.argmax(scores) == np.argmax(exact_scores)),
+            "exact_ms": exact_ms,
             "wall_ms": wall_ms,
         })
     return report
@@ -157,16 +158,13 @@ def measure_walltime(model_cfg: ModelConfig, stream_cfg: StreamConfig,
     Each variant is paired with the oracle it matches: a "spatial_pool"
     config keeps its pool factor and is paired with the pooled oracle,
     reported as "baseline_pooled"; the other variants run unpooled.  Each
-    repetition runs one paired pass per gated variant, in alternating
-    order, so oracle and gated step are timed side by side on every frame.
-    The first frame sets up the gated state and is not timed, so the
-    stream needs at least 2 frames; ``repetitions`` is an integer of at
-    least 3.
+    repetition runs one ``run_pair`` per gated variant, in alternating
+    order, and the medians pool its rows' ``exact_ms`` (for the oracle)
+    and ``wall_ms`` (for the variant).  The first frame sets up the gated
+    state and is not counted, so the stream needs at least 2 frames;
+    ``repetitions`` is an integer of at least 3.
     """
     check_integer("repetitions", repetitions, 3)
-    if stream_cfg.frames < 2:
-        raise ValueError("need at least 2 frames: the first is not timed")
-    frames = gen_stream(stream_cfg)
     variants = ["full", "tokenwise_only"]
     if model_cfg.mode not in variants:
         variants.append(model_cfg.mode)
@@ -177,18 +175,17 @@ def measure_walltime(model_cfg: ModelConfig, stream_cfg: StreamConfig,
     for rep in range(repetitions):
         for mode in variants if rep % 2 == 0 else variants[::-1]:
             pool = model_cfg.pool_p if mode == "spatial_pool" else 1
-            model = Model(replace(model_cfg, mode=mode, pool_p=pool))
+            report = run_pair(replace(model_cfg, mode=mode, pool_p=pool),
+                              stream_cfg)
             oracle = "baseline_pooled" if pool > 1 else "baseline"
-            for t, _, exact_ms, _, gated_ms in _paired_steps(model, frames):
-                if t > 0:
-                    times[oracle].append(exact_ms)
-                    times[mode].append(gated_ms)
+            times[oracle] += report.column("exact_ms")[1:]
+            times[mode] += report.column("wall_ms")[1:]
     return {name: float(np.median(ms)) for name, ms in times.items()}
 
 
 def _write_csv(rows: list[dict], columns: list[str], path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
 

@@ -1,7 +1,7 @@
 """Golden runs: per-frame results of every mode, pinned by a recorded fixture.
 
 Each case is one paired run at fixed seeds.  The fixture holds its
-``run_pair`` rows without the wall-time column, plus the per-frame
+``run_pair`` rows without the two timing columns, plus the per-frame
 ``CostLedger`` cost records of the gated model and of the exact oracle.
 Integer fields must match exactly, float fields to 1e-12 relative, so a
 refactor that is meant to keep behaviour proves it here.
@@ -50,8 +50,8 @@ CASES["full-drift-threshold"] = _case("full", "drift",
 def golden_run(model_cfg, stream_cfg, schedule) -> dict:
     """Rows of ``run_pair`` and the ledger snapshots of both models."""
     report = run_pair(model_cfg, stream_cfg, schedule=schedule)
-    rows = [{key: value for key, value in row.items() if key != "wall_ms"}
-            for row in report.rows]
+    rows = [{key: value for key, value in row.items()
+             if key not in ("exact_ms", "wall_ms")} for row in report.rows]
     return {"rows": rows, "gated_ledger": report.gated_ledger.frames,
             "oracle_ledger": report.oracle_ledger.frames}
 

@@ -1,12 +1,16 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tokengate import harness
 from tokengate.block import ModelConfig
+from tokengate.costs import CostLedger
 from tokengate.gates import Policy
 from tokengate.harness import (
     CSV_COLUMNS,
+    RunReport,
     cosine_similarity,
     measure_walltime,
     relative_l2,
@@ -89,7 +93,7 @@ class TestRunPair:
         first = run_pair(small_model(), small_stream())
         second = run_pair(small_model(), small_stream())
         for row in first.rows + second.rows:
-            del row["wall_ms"]
+            del row["exact_ms"], row["wall_ms"]
         assert first.rows == second.rows
         assert first.summary() == second.summary()
 
@@ -126,7 +130,8 @@ class TestRunPair:
         as_lists = run_pair(small_model(), small_stream(),
                             frames=frames.tolist())
         for a, b in zip(as_array.rows, as_lists.rows):
-            assert {**a, "wall_ms": 0} == {**b, "wall_ms": 0}
+            assert {**a, "exact_ms": 0, "wall_ms": 0} == {**b, "exact_ms": 0,
+                                                          "wall_ms": 0}
         assert as_array.gated_ledger.frames == as_lists.gated_ledger.frames
 
     def test_ragged_frames_rejected(self):
@@ -154,6 +159,32 @@ class TestRunPair:
                                          cfg.mlp_ratio)["macs_total"] * cfg.blocks
         # all but the first frame
         assert report.summary()["baseline_macs_total"] == per_frame * 5
+
+    def test_rows_keep_both_clocks(self, tmp_path):
+        report = run_pair(small_model(), small_stream())
+        for key in ("exact_ms", "wall_ms"):
+            assert all(isinstance(ms, float) and ms > 0
+                       for ms in report.column(key)), key
+        path = tmp_path / "run.csv"
+        write_run_csv(report, path)
+        with open(path) as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == CSV_COLUMNS
+        assert all(len(row) == len(CSV_COLUMNS) for row in rows)
+
+    def test_memory_does_not_grow_with_frames(self):
+        # generated frames are stepped one at a time, so 200 frames (26 MB
+        # stacked at this shape) take about the peak memory of 20
+        def peak(frames):
+            tracemalloc.start()
+            try:
+                run_pair(ModelConfig(blocks=1, n=256, d=64, heads=2, seed=55),
+                         StreamConfig(n=256, d=64, frames=frames, seed=56))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200) - peak(20) < 2 * 2**20
 
 
 class TestSweep:
@@ -259,6 +290,33 @@ class TestWalltime:
             ratio = max(first[variant], second[variant]) / \
                 min(first[variant], second[variant])
             assert ratio < 1.2, (variant, first[variant], second[variant])
+
+
+class TestMediansFromRuns:
+    def test_medians_of_the_rows_after_the_first(self, monkeypatch):
+        # call k reports exact ms 10k, 10k + 1 and gated ms 100k, 100k + 1
+        # after a first frame that would move every median were it counted
+        calls = []
+
+        def known_run_pair(model_cfg, stream_cfg):
+            calls.append((model_cfg.mode, model_cfg.pool_p))
+            k = len(calls)
+            rows = [{"exact_ms": 1e6, "wall_ms": 1e6}] + [
+                {"exact_ms": 10.0 * k + t, "wall_ms": 100.0 * k + t}
+                for t in range(2)]
+            return RunReport(rows, CostLedger(), CostLedger())
+
+        monkeypatch.setattr(harness, "run_pair", known_run_pair)
+        cfg = ModelConfig(blocks=1, n=16, d=8, heads=2, mode="spatial_pool",
+                          pool_p=2, policy=Policy("top_r", r=4))
+        table = measure_walltime(cfg, small_stream(), repetitions=3)
+        order = [("full", 1), ("tokenwise_only", 1), ("spatial_pool", 2)]
+        assert calls == order + order[::-1] + order
+        # full runs in calls 1, 6, 7; tokenwise_only in 2, 5, 8; the pooled
+        # variant and its oracle in 3, 4, 9
+        assert table == {"baseline": 55.5, "baseline_pooled": 40.5,
+                         "full": 600.5, "tokenwise_only": 500.5,
+                         "spatial_pool": 400.5}
 
 
 class TestWriters:
