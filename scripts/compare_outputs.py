@@ -1,12 +1,11 @@
 """Show that a change keeps the library's outputs bitwise equal to a parent checkout's.
 
     python3 scripts/compare_outputs.py --parent DIR
-    python3 scripts/compare_outputs.py --parent DIR --change DIR
 
 Steps one fixed grid of gated models in each checkout: the parent
-(``--parent``) and this one (or ``--change DIR``).  Each side runs in a
-subprocess with ``PYTHONPATH=<checkout>/src`` and one BLAS thread, so both
-import their own library and round alike.  The grid crosses the modes
+(``--parent``) and this one.  Each side runs in a subprocess with
+``PYTHONPATH=<checkout>/src`` and one BLAS thread, so both import their
+own library and round alike.  The grid crosses the modes
 ``full``, ``spatial_pool`` at pool 2 and 4, ``tokenwise_only`` and
 ``stgt``; a ``top_r`` policy with a random budget on every frame and
 threshold policies at 0.3 and 1.0; ``sparse_change`` and ``drift``
@@ -81,15 +80,15 @@ def case_digests(mode, pool, kind, h, stream, seed) -> tuple[str, str]:
     return outputs.hexdigest(), counts.hexdigest()
 
 
-def print_digests() -> None:
+def print_digests(cases: list) -> None:
     """The subprocess side: every case's digests as one JSON object."""
-    print(json.dumps({case_name(*case): case_digests(*case) for case in CASES}))
+    print(json.dumps({case_name(*case): case_digests(*case) for case in cases}))
 
 
 def grid_digests(checkout: Path) -> dict:
-    """Run the grid against ``checkout``'s library in a subprocess."""
+    """Run the grid (``CASES``) against ``checkout``'s library in a subprocess."""
     code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
-            "import compare_outputs; compare_outputs.print_digests()")
+            f"import compare_outputs; compare_outputs.print_digests({CASES!r})")
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"),
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
@@ -103,12 +102,11 @@ def grid_digests(checkout: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, default=ROOT)
     args = parser.parse_args(argv)
-    for checkout in (args.parent, args.change):
+    for checkout in (args.parent, ROOT):
         if not (checkout / "src" / "tokengate").is_dir():
             parser.error(f"{checkout} holds no src/tokengate")
-    parent, change = grid_digests(args.parent), grid_digests(args.change)
+    parent, change = grid_digests(args.parent), grid_digests(ROOT)
     moved = {"outputs": 0, "counts": 0}
     for name, digests in change.items():
         differ = [what for what, new, old in zip(moved, digests, parent[name])

@@ -15,10 +15,16 @@ sys.path.insert(0, str(ROOT / "scripts"))
 import compare_outputs  # noqa: E402
 
 
-def test_own_checkout_matches_itself(capsys):
+def test_own_checkout_matches_itself(capsys, monkeypatch):
+    # two cases suffice to check the subprocess wiring: the hashing itself
+    # is checked in-process below
+    cases = compare_outputs.CASES[:2]
+    monkeypatch.setattr(compare_outputs, "CASES", cases)
     assert compare_outputs.main(["--parent", str(ROOT)]) == 0
-    assert capsys.readouterr().out == (
-        f"{len(compare_outputs.CASES)} cases: outputs differ in 0, counts in 0\n")
+    assert capsys.readouterr().out == "2 cases: outputs differ in 0, counts in 0\n"
+    assert compare_outputs.grid_digests(ROOT) == {
+        compare_outputs.case_name(*case): list(compare_outputs.case_digests(*case))
+        for case in cases}
 
 
 def test_one_ulp_in_one_output_changes_the_digest(monkeypatch):

@@ -10,6 +10,7 @@ from tokengate.costs import CostLedger
 from tokengate.gates import Policy
 from tokengate.harness import (
     CSV_COLUMNS,
+    SWEEP_COLUMNS,
     RunReport,
     cosine_similarity,
     measure_walltime,
@@ -344,6 +345,11 @@ class TestWriters:
         with open(path) as fh:
             read = list(csv.DictReader(fh))
         assert [int(row["r"]) for row in read] == [2, 8]
+
+    def test_sweep_csv_rejects_a_key_outside_its_columns(self, tmp_path):
+        row = dict.fromkeys(SWEEP_COLUMNS, 1)
+        with pytest.raises(ValueError, match="fieldnames"):
+            write_sweep_csv([{**row, "savings": 2}], tmp_path / "sweep.csv")
 
     def test_summary_json(self, tmp_path):
         import json
