@@ -3,9 +3,11 @@
 The incremental attention updates cost 2NMD each, against N^2 D from
 scratch, so the products only get cheaper once fewer than half the tokens
 update; from M = N/2 on each product is taken from scratch, so they never
-cost more than the exact block's.  Token-wise work always scales with M.  The closed forms are not
-estimates: an instrumented run of the gated block reproduces them to the
-exact integer.
+cost more than the exact block's.  The query-key product is patched only
+together with the softmax, which reaches its own parity first, so it is
+taken from scratch already from 4M + 1 >= N on (M = 8 here).  Token-wise
+work always scales with M.  The closed forms are not estimates: an
+instrumented run of the gated block reproduces them to the exact integer.
 """
 
 from tokengate import (

@@ -7,9 +7,9 @@ token stream:
     changed, the rows at those indices are recomputed against the full key
     buffer and the columns at those indices against the full query buffer,
     key-major (changed keys x queries).  The columns are written in blocks
-    of B's rows, one cache-sized pass over B that can also read out the
-    old scores there, key-major too, just before it overwrites them; then
-    the rows are written whole.
+    of B's rows, one cache-sized pass over B that also reads out the old
+    scores there, key-major too, just before it overwrites them; then the
+    rows are written whole.
   * per-row softmax normalizers: an offset at or above every scaled score
     of the row, and the sum of the row's exponentials taken against it, so
     that A = exp(B / sqrt(d_head) - offset) / sum.  Every row has its sum
@@ -32,12 +32,15 @@ token stream:
     down to the selected columns/rows.
 
 Each piece falls back to the oracle's computation on a frame where
-``costs.frame_plan`` says so; a whole attention-value product overwrites
-the attention gate's reference at the value gate's columns without
-computing changes.  A frame where every gate takes every token, the first
-one included, thus runs the oracle's products on the oracle's operands.
-The scale 1 / sqrt(d_head) is applied when the softmax is taken, so ``B``
-always stores raw products.
+``costs.frame_plan`` says so.  ``B`` and the softmax are patched together
+or taken whole together: a whole softmax reads every score of ``B``
+again, so patching ``B`` before it saves MACs but no time, and ``B`` is
+then the oracle's product ``Q K^T``.  A whole attention-value product
+overwrites the attention gate's reference at the value gate's columns
+without computing changes.  A frame where every gate takes every token,
+the first one included, thus runs the oracle's products on the oracle's
+operands.  The scale 1 / sqrt(d_head) is applied when the softmax is
+taken, so ``B`` always stores raw products.
 """
 
 from __future__ import annotations
@@ -326,8 +329,8 @@ class AttentionState:
         qh, kh = head_split(q, self.heads), head_split(k_kv, self.heads)
         v_idx, u_v, v_changes = self.v_gate(v_kv)
         outside = np.setdiff1d(v_idx, cols, assume_unique=True).size
-        whole_qk, patch, whole_av = frame_plan(n, n_kv, rows.size, cols.size,
-                                               v_idx.size, outside)
+        patch, whole_av = frame_plan(n, n_kv, rows.size, cols.size,
+                                     v_idx.size, outside)
         every_v = v_idx.size == n_kv
         vh, vh_delta = head_split(u_v, self.heads), head_split(v_changes, self.heads)
         # B's scores at the changed columns before the update, key-major, for
@@ -335,17 +338,15 @@ class AttentionState:
         old = np.empty((cols.size, n)) if patch else None
         self.resynced = 0
         for h in range(self.heads):
-            if whole_qk:
-                self.b[h] = self.ledger.matmul("qk", qh[h], kh[h].T)
-            else:
+            if patch:
                 new_rows, new_cols = qk_sparse_update(self.b[h], qh[h], kh[h],
                                                       rows, cols, self.ledger, old)
-            if patch:
                 # the attention gate's contiguous rows, handed over as the
                 # queries x columns view the value update takes
                 attn_v = self._patched_softmax(h, rows, new_rows, old, cols,
                                                new_cols, v_idx).T
             else:
+                self.b[h] = self.ledger.matmul("qk", qh[h], kh[h].T)
                 attn_v = self._full_softmax(h)
                 if not every_v:
                     attn_v = attn_v[:, v_idx]

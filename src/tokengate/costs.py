@@ -121,29 +121,37 @@ def patched_softmax_exps(n: int, n_kv: int, rows: int, cols: int) -> int:
 
 
 def frame_plan(n: int, n_kv: int, rows: int, cols: int, values: int,
-               outside: int) -> tuple[bool, bool, bool]:
+               outside: int) -> tuple[bool, bool]:
     """The whole-or-patch rules of one frame of incremental attention.
 
     ``rows`` of n queries and ``cols`` of n_kv key columns changed; the
     value gate picked ``values`` columns, ``outside`` of them unchanged.
     Each rule takes a piece whole, as the oracle does, where patching would
-    cost at least as many MACs or exponentials; a crossover measured on
-    the clock would replace its line here.  Returns, in order:
+    cost at least as many MACs or exponentials.  B and the softmax are
+    decided together, from a clock measurement: a whole softmax reads every
+    score of B again, so patching B before it saved MACs but not time.  At
+    drift-pool-budget's shape, eight heads' ``qk_sparse_update`` took 1.6
+    and 2.5 ms for 72 and 144 changed queries (60 and 100 pooled keys)
+    against 1.0 ms for their whole products, and taking B whole on its
+    r = 72 and 144 frames cut the workload's ``frame_ms_p50`` by 5.8 %
+    (1 BLAS thread).  Returns, in order:
 
-      whole_qk  B recomputed whole when rows*n_kv + n*cols >= n*n_kv.
-      patch     the softmax patched when B is, ``outside`` is 0 and
+      patch     B and the softmax patched when ``outside`` is 0 and
                 ``patched_softmax_exps`` + n*values < n*n_kv; the value
                 columns are charged as if read from B, so the decision
-                does not move with the overlap.  Otherwise it is taken
-                whole, which also refreshes every row's normalizers.
+                does not move with the overlap.  B's patch is then below
+                its MAC parity too, rows*n_kv + n*cols < n*n_kv per head
+                width, since the patch takes at least as many exponentials.
+                Otherwise B is recomputed whole, as the oracle's product,
+                and the softmax taken whole, which also refreshes every
+                row's normalizers.
       whole_av  the attention-value product whole when 2*values >= n_kv;
                 otherwise it is advanced by the delta identity.
     """
-    whole_qk = rows * n_kv + n * cols >= n * n_kv
-    patch = (not whole_qk and outside == 0
+    patch = (outside == 0
              and patched_softmax_exps(n, n_kv, rows, cols) + n * values < n * n_kv)
     whole_av = 2 * values >= n_kv
-    return whole_qk, patch, whole_av
+    return patch, whole_av
 
 
 def _check_sizes(n: int, d: int, h: int, **more):
@@ -173,7 +181,9 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
     In "full" mode M rows, M columns and M value columns, all among the
     changed ones, go through ``frame_plan``: a patched product costs 2NMD
     (row/column scatter, aligned delta identity) and a whole one the exact
-    block's N*N*D; a patched attention-value product pays the forced
+    block's N*N*D.  B is patched only with the softmax, so for M > 0 its
+    product is whole from 4M + 1 >= N on, where the softmax's patch reaches
+    parity; a patched attention-value product pays the forced
     gates' changes and the delta products' adds.  The value gate's M*D
     change subtractions are paid on every frame.  Rows resynced on the
     frame add N exponentials each, which no closed form predicts.  In
@@ -189,8 +199,8 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
         raise ValueError(f"m must be at most n = {n}, got {m}")
     token_wise = 3 * m * d * d + m * d * d + 2 * mlp_ratio * m * d * d
     if mode == "full":
-        whole_qk, patch, whole_av = frame_plan(n, n, m, m, m, 0)
-        qk = n * n * d if whole_qk else 2 * n * m * d
+        patch, whole_av = frame_plan(n, n, m, m, m, 0)
+        qk = 2 * n * m * d if patch else n * n * d
         av = n * n * d if whole_av else 2 * n * m * d
         gate_norms = 4 * n * d            # qkv, value, projection, MLP gates
         adds = 4 * n * d + m * d          # their error subtractions and

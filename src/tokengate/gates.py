@@ -96,17 +96,29 @@ def _zero_store(n: int, width: int) -> TokenMatrix:
     return np.zeros((n, width))
 
 
+# Store columns per block when ``_write_rows`` copies a source that is not
+# C-contiguous, such as the transposed A of the whole attention-value path,
+# so that each block's source and destination stay in cache: six 1024 x
+# 1024 transposed writes took 12.7 ms this way against 30.6 ms in one fancy
+# write each.  Blocks of 64 columns made drift-pool-budget's r = N step
+# (144 x 576 references) 1.5 % slower than one fancy write; 128 did not.
+WRITE_BLOCK_COLUMNS = 128
+
+
 def _write_rows(store: TokenMatrix, idx: IndexSet, rows: TokenMatrix):
     """The write rule of a per-token store (a gate reference or a buffer):
     set the tokens idx of the (n x width) store to ``rows`` (|idx| x width),
-    in place, so the store keeps its memory."""
+    in place, so the store keeps its memory.  A source that is not
+    C-contiguous is written in blocks of ``WRITE_BLOCK_COLUMNS`` columns."""
     n, width = store.shape
     idx = as_index_set(idx, n)
     rows = np.asarray(rows, dtype=np.float64)
     if rows.shape != (idx.size, width):
         raise ValueError(f"expected rows of shape {(idx.size, width)}, "
                          f"got {rows.shape}")
-    store[idx] = rows
+    step = width if rows.flags.c_contiguous else WRITE_BLOCK_COLUMNS
+    for start in range(0, width, step):
+        store[idx, start:start + step] = rows[:, start:start + step]
 
 
 class Gate:

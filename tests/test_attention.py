@@ -531,6 +531,54 @@ class TestAttentionState:
         # value gate's own picks
         assert sum(width == n for width, _ in calls) == heads * (frames - 1)
 
+    @pytest.mark.parametrize("mode, pool", [("full", 1), ("spatial_pool", 2)])
+    def test_similarity_patched_only_with_the_softmax(self, monkeypatch, mode,
+                                                      pool):
+        """B goes through ``qk_sparse_update`` on exactly the heads whose
+        softmax is patched; on every other frame it holds the oracle's
+        product of the buffers, bitwise."""
+        n, d, heads = 64, 8, 2
+        update, patch = attention.qk_sparse_update, AttentionState._patched_softmax
+        patched_b, patched_softmax = [], []
+
+        def spy_update(*args):
+            patched_b.append(args[0].ctypes.data)    # the head's B
+            return update(*args)
+
+        def spy_patch(state, h, *args):
+            patched_softmax.append(state.b[h].ctypes.data)
+            return patch(state, h, *args)
+
+        monkeypatch.setattr(attention, "qk_sparse_update", spy_update)
+        monkeypatch.setattr(AttentionState, "_patched_softmax", spy_patch)
+        model = Model(ModelConfig(blocks=1, n=n, d=d, heads=heads, mode=mode,
+                                  pool_p=pool, seed=22,
+                                  policy=Policy("top_r", r=n)))
+        attn = model.blocks[0].attn
+        # every token drifts; 4r + 1 < n patches at pool 1, and 20 and 40
+        # take B whole although its patch alone is below its MAC parity
+        schedule = [n, 2, 12, 20, 40, 2, n]
+        stream = StreamConfig(n=n, d=d, frames=len(schedule), mode="drift",
+                              eps=0.1, seed=23)
+        whole_frames = []
+        for r, frame in zip(schedule, gen_stream(stream)):
+            patched_b.clear()
+            patched_softmax.clear()
+            model.set_budget(r)
+            model.step(frame)
+            assert patched_b == patched_softmax
+            if patched_b:
+                assert len(patched_b) == heads
+                continue
+            whole_frames.append(r)
+            qh = head_split(attn.q_buf.b, heads)
+            kh = head_split(pool_tokens(attn.k_buf.b, attn.grid, attn.pool), heads)
+            for h in range(heads):
+                np.testing.assert_array_equal(attn.b[h], qh[h] @ kh[h].T)
+        if pool == 1:
+            assert whole_frames == [n, 20, 40, n]
+        assert n in whole_frames and 2 not in whole_frames
+
     def test_attention_rows_sum_to_one(self):
         from tokengate.kernels import softmax_rows
         state = self._drive("full", 1, 4, r=4, seed=19)

@@ -69,6 +69,24 @@ class TestEventfulFormula:
             else:                 # 2m = n is the tie: products taken whole
                 assert adds == gates_only, (n, m)
 
+    @pytest.mark.parametrize("n", [8, 9, 16, 17])
+    def test_similarity_whole_once_the_softmax_patch_reaches_parity(self, n):
+        d = 16
+        for m in range(1, n + 1):
+            qk = count_block_eventful(n, m, d, 2)["macs_qk"]
+            assert qk == (2 * n * m * d if 4 * m + 1 < n else n * n * d), (n, m)
+
+    def test_ledger_takes_the_similarity_whole_below_half(self):
+        # (n - 1) / 4 <= m < n / 2: B's patch alone is below its MAC parity,
+        # the softmax's is not, so both are taken whole
+        n, m, d, heads = 16, 4, 16, 2
+        ledger, block = run_instrumented_block(n, d, heads, 4, "full", r=m)
+        want = count_block_eventful(n, m, d, heads)
+        assert want["macs_qk"] == n * n * d > 2 * n * m * d
+        assert want["macs_av"] == 2 * n * m * d
+        assert block.attn.resynced == 0
+        assert ledger.frames[-1] == want
+
     def test_crossover_at_half(self):
         for n in (8, 16, 32, 64):
             base = count_block_baseline(n, 16, 2)
@@ -93,32 +111,51 @@ class TestEventfulFormula:
             count_block_eventful(16, 4, 8, 2, mode="spatial_pool")
 
 
-class TestFramePlan:
-    def test_similarity_taken_whole_at_parity(self):
-        # rows * n_kv + n * cols = 4 * 4 + 8 * 2 = n * n_kv
-        assert frame_plan(8, 4, 4, 2, 0, 0)[0]
-        assert not frame_plan(8, 4, 3, 2, 0, 0)[0]
+def _plan_grid():
+    """Every frame geometry of up to 8 queries, keys and value columns."""
+    for n, n_kv, rows, cols, values in itertools.product(
+            range(1, 9), range(1, 9), range(9), range(9), range(1, 9)):
+        if n_kv <= n and rows <= n and cols <= n_kv and values <= n_kv:
+            yield n, n_kv, rows, cols, values
 
+
+class TestFramePlan:
     def test_softmax_taken_whole_at_parity(self):
         # 2 * 8 + 16 * (2 * 2 + 1) + 16 * 2 = 128 = n * n_kv: every query,
         # the changed ones included, pays the patch
         assert patched_softmax_exps(16, 8, 2, 2) + 16 * 2 == 16 * 8
-        assert frame_plan(16, 8, 2, 2, 2, 0) == (False, False, False)
-        assert frame_plan(16, 8, 2, 2, 1, 0) == (False, True, False)
+        assert frame_plan(16, 8, 2, 2, 2, 0) == (False, False)
+        assert frame_plan(16, 8, 2, 2, 1, 0) == (True, False)
+
+    def test_similarity_below_its_parity_taken_whole_with_the_softmax(self):
+        # B's patch alone costs 3 * 4 + 8 * 2 = 28 < 32 MACs per head width,
+        # the softmax's 3 * 4 + 8 * (2 * 2 + 1) = 52 >= 32 exponentials
+        assert 3 * 4 + 8 * 2 < 8 * 4 <= patched_softmax_exps(8, 4, 3, 2)
+        assert frame_plan(8, 4, 3, 2, 0, 0) == (False, False)
+        # at B's parity, 4 * 4 + 8 * 2 = 32
+        assert frame_plan(8, 4, 4, 2, 0, 0) == (False, False)
 
     def test_attention_value_taken_whole_at_half_the_columns(self):
-        assert frame_plan(8, 4, 2, 2, 2, 0)[2]
-        assert not frame_plan(8, 4, 1, 1, 1, 0)[2]
+        assert frame_plan(8, 4, 2, 2, 2, 0)[1]
+        assert not frame_plan(8, 4, 1, 1, 1, 0)[1]
+
+    def test_similarity_patched_only_below_its_parity(self):
+        """B is patched only with the softmax, and then below its MAC
+        parity; some frames below that parity take both whole."""
+        moved = 0
+        for n, n_kv, rows, cols, values in _plan_grid():
+            below = rows * n_kv + n * cols < n * n_kv
+            patch, _ = frame_plan(n, n_kv, rows, cols, values, 0)
+            assert below or not patch, (n, n_kv, rows, cols, values)
+            moved += below and not patch
+        assert moved > 0
 
     def test_a_value_column_outside_the_changed_ones_never_patches(self):
         patched = 0
-        for n, n_kv, rows, cols, values in itertools.product(
-                range(1, 9), range(1, 9), range(9), range(9), range(1, 9)):
-            if n_kv > n or rows > n or cols > n_kv or values > n_kv:
-                continue
+        for n, n_kv, rows, cols, values in _plan_grid():
             for outside in range(1, values + 1):
-                assert not frame_plan(n, n_kv, rows, cols, values, outside)[1]
-            patched += frame_plan(n, n_kv, rows, cols, values, 0)[1]
+                assert not frame_plan(n, n_kv, rows, cols, values, outside)[0]
+            patched += frame_plan(n, n_kv, rows, cols, values, 0)[0]
         assert patched > 0
 
 

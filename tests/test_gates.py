@@ -270,6 +270,31 @@ class TestDeltaGate:
         np.testing.assert_array_equal(u_free, forced.u)
         np.testing.assert_array_equal(ch_free, ch_forced)
 
+    @pytest.mark.parametrize("width", [1, 130])
+    @pytest.mark.parametrize("picks", ["none", "some", "all"])
+    @pytest.mark.parametrize("layout", ["transposed", "column-slice", "rows"])
+    def test_overwrite_equals_the_fancy_write(self, width, picks, layout):
+        # a source that is not C-contiguous is written in column blocks
+        n = 9
+        rng = np.random.default_rng(width)
+        idx = {"none": np.empty(0, np.int64), "some": np.array([0, 3, 4, 8]),
+               "all": np.arange(n)}[picks]
+        source = {
+            "transposed": lambda: rng.normal(size=(width, idx.size)).T,
+            "column-slice": lambda: rng.normal(size=(idx.size, width + 3))[:, 2:-1],
+            "rows": lambda: rng.normal(size=(idx.size, width)),
+        }[layout]()
+        if layout != "rows" and idx.size > 1 and width > 1:
+            assert not source.flags.c_contiguous
+        gate = DeltaGate(n, width, Policy("top_r", r=1))
+        gate.overwrite(rng.normal(size=(n, width)), np.arange(n))
+        store = gate.u
+        want = store.copy()
+        want[idx] = source
+        gate.overwrite(source, idx)
+        assert gate.u is store
+        np.testing.assert_array_equal(gate.u, want)
+
 
 class TestBuffer:
     def test_first_write_initializes(self):

@@ -146,8 +146,8 @@ def test_patched_attention_matches_the_softmax_of_b(monkeypatch):
         n, n_kv = state.n, state.n_kv
         cols = attention.pool_index_set(rows, state.grid, state.pool)
         outside = np.setdiff1d(v_idx, cols).size
-        _, patch, _ = frame_plan(n, n_kv, rows.size, cols.size, v_idx.size,
-                                 outside)
+        patch, _ = frame_plan(n, n_kv, rows.size, cols.size, v_idx.size,
+                              outside)
         assert patch == (outside == 0)
         scaled = state.b[0] / np.sqrt(state.dh)
         scaled -= state.row_offset[0][:, None]
