@@ -22,13 +22,13 @@ from tokengate import (
 )
 from tokengate.rng import SplitRng
 
-n, d, heads, ratio = 32, 16, 2, 4
-base = count_block_baseline(n, d, heads, ratio)
+n, d, heads = 32, 16, 2
+base = count_block_baseline(n, d, heads)
 print(f"exact block, N={n} D={d}: {base['macs_total']} MACs per frame")
 
 print("\nupdated tokens M -> gated MACs (crossover in the products at N/2):")
 for m in (0, 4, 8, 12, 16, 20, 32):
-    gated = count_block_eventful(n, m, d, heads, ratio)
+    gated = count_block_eventful(n, m, d, heads)
     products = gated["macs_qk"] + gated["macs_av"]
     products_cheaper = products < base["macs_qk"] + base["macs_av"]
     print(f"  M={m:2d}: total {gated['macs_total']:7d}  "
@@ -39,7 +39,7 @@ for m in (0, 4, 8, 12, 16, 20, 32):
 m = 8
 ledger = CostLedger()
 weights = init_model_weights(ModelConfig(blocks=1, n=n, d=d, heads=heads,
-                                         mlp_ratio=ratio, seed=1))
+                                         seed=1))
 block = GatedBlock(weights.blocks[0], n, Policy("top_r", r=m), ledger=ledger)
 rng = SplitRng(2)
 for _ in range(3):
@@ -47,7 +47,7 @@ for _ in range(3):
     block.step(rng.normal((n, d)))
     ledger.end_frame()
 snap = ledger.frames[-1]
-formula = count_block_eventful(n, m, d, heads, ratio)
+formula = count_block_eventful(n, m, d, heads)
 # each softmax row resynced after cancellation adds N exponentials
 formula["nonlinear_elems"] += n * block.attn.resynced
 print(f"\ninstrumented steady-state frame: {snap['macs_total']} MACs, "

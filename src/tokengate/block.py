@@ -35,7 +35,7 @@ from .attention import (
     _project,
     msa_baseline,
 )
-from .costs import CostLedger, NullLedger
+from .costs import MLP_RATIO, CostLedger, NullLedger
 from .gates import Buffer, Gate, Policy, StgtGate
 from .kernels import TokenMatrix, check_heads, check_integer, gelu, layer_norm
 from .rng import SplitRng
@@ -75,13 +75,13 @@ def _check_mode(mode: str, pool_p: int):
 @dataclass
 class ModelConfig:
     """Shape, policy, and mode of the toy stacked model.  Its linear head
-    has ``num_classes`` outputs, the same for every config."""
+    has ``num_classes`` outputs and each MLP ``MLP_RATIO * d`` hidden
+    units, the same for every config."""
 
     blocks: int = 2
     n: int = 16
     d: int = 8
     heads: int = 2
-    mlp_ratio: int = 4
     mode: str = "full"
     pool_p: int = 1
     seed: int = 0
@@ -90,7 +90,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for name, minimum in (("blocks", 0), ("n", 1), ("d", 1),
-                              ("mlp_ratio", 1), ("pool_p", 1), ("seed", None)):
+                              ("pool_p", 1), ("seed", None)):
             check_integer(name, getattr(self, name), minimum)
         check_heads(self.d, self.heads)
         _check_mode(self.mode, self.pool_p)
@@ -179,7 +179,7 @@ class ModelWeights:
 def init_model_weights(cfg: ModelConfig) -> ModelWeights:
     """Seeded random weights at standard scales (1/sqrt(fan_in))."""
     rng = SplitRng(cfg.seed).substream(1)
-    d, hidden = cfg.d, cfg.mlp_ratio * cfg.d
+    d, hidden = cfg.d, MLP_RATIO * cfg.d
     scale = d ** -0.5
 
     def mat(rows, cols, s):

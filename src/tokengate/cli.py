@@ -10,8 +10,8 @@ Subcommands:
 Configs are one JSON document:
 
   {
-    "model":  {"blocks": 2, "N": 16, "D": 8, "H": 2, "mlp_ratio": 4,
-               "mode": "full", "pool_p": 1, "seed": 0},
+    "model":  {"blocks": 2, "N": 16, "D": 8, "H": 2, "mode": "full",
+               "pool_p": 1, "seed": 0},
     "stream": {"mode": "sparse_change", "rho": 0.25, "sigma": 1.0,
                "eps": 0.1, "frames": 8, "seed": 0},
     "policy": {"kind": "top_r", "r": 4},
@@ -47,7 +47,7 @@ from .streams import StreamConfig, gen_stream
 
 # keys each config section accepts; "schedule" is a plain list
 _SECTION_KEYS = {
-    "model": {"blocks", "N", "D", "H", "mlp_ratio", "mode", "pool_p", "seed"},
+    "model": {"blocks", "N", "D", "H", "mode", "pool_p", "seed"},
     "stream": {"mode", "rho", "sigma", "eps", "frames", "seed"},
     "policy": {"kind", "r", "h"},
 }
@@ -145,17 +145,15 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    base = count_block_baseline(args.n, args.d, args.heads, args.mlp_ratio)
+    base = count_block_baseline(args.n, args.d, args.heads)
+    gated = count_block_eventful(args.n, args.m, args.d, args.heads, args.mode)
     doc = {
         "baseline": base,
         "memory": memory_report(args.n, args.d, args.heads,
                                 args.bytes_per_element),
+        "gated": gated,
+        "savings_ratio": base["macs_total"] / gated["macs_total"],
     }
-    if args.mode in ("full", "tokenwise_only", "stgt"):
-        gated = count_block_eventful(args.n, args.m, args.d, args.heads,
-                                     args.mlp_ratio, mode=args.mode)
-        doc["gated"] = gated
-        doc["savings_ratio"] = base["macs_total"] / gated["macs_total"]
     print(json.dumps(doc, indent=2))
     return 0
 
@@ -198,9 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--m", type=int, default=0)
     p_count.add_argument("--d", type=int, required=True)
     p_count.add_argument("--heads", type=int, required=True)
-    p_count.add_argument("--mlp-ratio", type=int, default=4)
     p_count.add_argument("--mode", default="full",
-                         choices=["full", "tokenwise_only", "stgt", "none"])
+                         choices=["full", "tokenwise_only", "stgt"])
     p_count.add_argument("--bytes-per-element", type=int, default=4,
                          choices=[2, 4, 8])
     p_count.set_defaults(func=_cmd_count)

@@ -29,6 +29,7 @@ from __future__ import annotations
 from .kernels import check_heads, check_integer
 
 MAC_CATEGORIES = ("token_wise", "qk", "av", "gate_overhead")
+MLP_RATIO = 4    # every MLP's hidden width over the token width, as in ViT
 
 
 def cost_record(token_wise: int, qk: int, av: int, gate_overhead: int = 0,
@@ -101,9 +102,9 @@ class NullLedger(CostLedger):
         pass
 
 
-def _norm_and_gelu_elems(m: int, d: int, mlp_ratio: int) -> int:
+def _norm_and_gelu_elems(m: int, d: int) -> int:
     """Two layer norms and GELU over the m rows their gates pick."""
-    return 2 * m * d + m * mlp_ratio * d
+    return 2 * m * d + m * MLP_RATIO * d
 
 
 def patched_softmax_exps(n: int, n_kv: int, rows: int, cols: int) -> int:
@@ -162,15 +163,15 @@ def _check_sizes(n: int, d: int, h: int, **more):
     check_heads(d, h)
 
 
-def count_block_baseline(n: int, d: int, h: int, mlp_ratio: int = 4) -> dict:
+def count_block_baseline(n: int, d: int, h: int) -> dict:
     """MACs for one exact block frame: qkv + similarity + weighting + proj + MLP."""
-    _check_sizes(n, d, h, mlp_ratio=mlp_ratio)
-    token_wise = 3 * n * d * d + n * d * d + 2 * mlp_ratio * n * d * d
+    _check_sizes(n, d, h)
+    token_wise = 3 * n * d * d + n * d * d + 2 * MLP_RATIO * n * d * d
     return cost_record(token_wise, n * n * d, n * n * d,
-                       nonlinear=_norm_and_gelu_elems(n, d, mlp_ratio) + h * n * n)
+                       nonlinear=_norm_and_gelu_elems(n, d) + h * n * n)
 
 
-def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
+def count_block_eventful(n: int, m: int, d: int, h: int,
                          mode: str = "full") -> dict:
     """MACs and adds for one steady-state gated block frame with m tokens selected.
 
@@ -193,11 +194,11 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
     depends on where the selected tokens sit on the grid, so pooled runs are
     costed by instrumentation only.
     """
-    _check_sizes(n, d, h, mlp_ratio=mlp_ratio)
+    _check_sizes(n, d, h)
     check_integer("m", m, 0)
     if m > n:
         raise ValueError(f"m must be at most n = {n}, got {m}")
-    token_wise = 3 * m * d * d + m * d * d + 2 * mlp_ratio * m * d * d
+    token_wise = 3 * m * d * d + m * d * d + 2 * MLP_RATIO * m * d * d
     if mode == "full":
         patch, whole_av = frame_plan(n, n, m, m, m, 0)
         qk = 2 * n * m * d if patch else n * n * d
@@ -217,11 +218,13 @@ def count_block_eventful(n: int, m: int, d: int, h: int, mlp_ratio: int = 4,
     else:
         raise ValueError(f"no closed-form cost for mode {mode!r}")
     return cost_record(token_wise, qk, av, gate_norms, adds,
-                       _norm_and_gelu_elems(m, d, mlp_ratio) + h * exps)
+                       _norm_and_gelu_elems(m, d) + h * exps)
 
 
 def memory_report(n: int, d: int, h: int, bytes_per_element: int = 4) -> dict:
-    """Bytes of persistent state per gated block, tensor by tensor."""
+    """Bytes of persistent state of one ``full``-mode block at pool factor 1,
+    tensor by tensor (the other modes hold less).  The library stores float64,
+    so its own state is the report at 8 bytes per element, not the default 4."""
     _check_sizes(n, d, h, bytes_per_element=bytes_per_element)
     token = n * d * bytes_per_element
     attn = n * n * h * bytes_per_element

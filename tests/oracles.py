@@ -11,12 +11,11 @@ from tokengate.kernels import as_index_set
 from tokengate.rng import SplitRng
 
 
-def run_instrumented_block(n, d, heads, ratio, mode, r, frames=3, seed=40):
+def run_instrumented_block(n, d, heads, mode, r, frames=3, seed=40):
     """Step one gated block over ``frames`` random frames into a fresh
     ledger: weights from config seed ``seed``, frames from
     ``SplitRng(seed + 1)``.  Returns (ledger, block)."""
-    cfg = ModelConfig(blocks=1, n=n, d=d, heads=heads, mlp_ratio=ratio,
-                      seed=seed, mode="full")
+    cfg = ModelConfig(blocks=1, n=n, d=d, heads=heads, seed=seed, mode="full")
     weights = init_model_weights(cfg)
     ledger = CostLedger()
     block = GatedBlock(weights.blocks[0], n, Policy("top_r", r=r), mode=mode,

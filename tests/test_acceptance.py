@@ -34,7 +34,7 @@ def report(name, passed, detail):
 
 def test_criterion_01_full_budget_exactness():
     started = time.perf_counter()
-    cfg = ModelConfig(blocks=3, n=16, d=8, heads=2, mlp_ratio=4, seed=0,
+    cfg = ModelConfig(blocks=3, n=16, d=8, heads=2, seed=0,
                       policy=Policy("top_r", r=16))
     stream = StreamConfig(n=16, d=8, frames=8, mode="sparse_change", rho=0.25,
                           sigma=1.0, seed=1)
@@ -58,15 +58,15 @@ def test_criterion_03_av_delta_exactness():
 
 
 def test_criterion_04_cost_formula_agreement():
-    d, heads, ratio = 16, 2, 4
+    d, heads = 16, 2
     details = []
     for n in (8, 16, 32):
-        base = count_block_baseline(n, d, heads, ratio)
+        base = count_block_baseline(n, d, heads)
         base_products = base["macs_qk"] + base["macs_av"]
         for m in (0, n // 4, n // 2, n):
-            ledger, block = run_instrumented_block(n, d, heads, ratio, "full",
-                                                   m, seed=4)
-            formula = count_block_eventful(n, m, d, heads, ratio, "full")
+            ledger, block = run_instrumented_block(n, d, heads, "full", m,
+                                                   seed=4)
+            formula = count_block_eventful(n, m, d, heads, "full")
             crossover = ((formula["macs_qk"] + formula["macs_av"] < base_products)
                          == (m < n / 2))
             # rows whose patched softmax sum was resynced pay n exponentials

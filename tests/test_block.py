@@ -18,7 +18,7 @@ from tokengate.block import (
     init_model_weights,
 )
 from tokengate.checks import state_deviation, state_within_bounds
-from tokengate.costs import CostLedger
+from tokengate.costs import MLP_RATIO, CostLedger
 from tokengate.gates import Policy
 from tokengate.kernels import gelu, layer_norm
 from tokengate.rng import SplitRng
@@ -34,14 +34,13 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def make_weights(seed, d=8, heads=2, ratio=4):
-    cfg = ModelConfig(blocks=1, n=16, d=d, heads=heads, mlp_ratio=ratio,
-                      seed=seed)
+def make_weights(seed, d=8, heads=2):
+    cfg = ModelConfig(blocks=1, n=16, d=d, heads=heads, seed=seed)
     return init_model_weights(cfg).blocks[0]
 
 
-def zero_weights(d=4, heads=2, ratio=4):
-    hidden = ratio * d
+def zero_weights(d=4, heads=2):
+    hidden = MLP_RATIO * d
     attn = AttentionWeights(wq=np.zeros((d, d)), wk=np.zeros((d, d)),
                             wv=np.zeros((d, d)), wp=np.zeros((d, d)),
                             heads=heads, bq=np.zeros(d), bk=np.zeros(d),
@@ -325,7 +324,7 @@ class TestModel:
                        pool_p=pool)
 
     @pytest.mark.parametrize("field, value", [
-        ("blocks", -1), ("n", 0), ("d", 0), ("heads", 0), ("mlp_ratio", 0)])
+        ("blocks", -1), ("n", 0), ("d", 0), ("heads", 0)])
     def test_empty_or_negative_shape_rejected(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} "):
             ModelConfig(**{field: value})
@@ -339,6 +338,12 @@ class TestModel:
         assert ModelConfig().num_classes == 10
         with pytest.raises(TypeError, match="num_classes"):
             ModelConfig(num_classes=3)
+
+    def test_mlp_ratio_is_fixed_at_four(self):
+        assert MLP_RATIO == 4
+        assert init_model_weights(ModelConfig(d=8)).blocks[0].w1.shape == (8, 32)
+        with pytest.raises(TypeError, match="mlp_ratio"):
+            ModelConfig(mlp_ratio=4)
 
     def test_frame_shape_validated(self):
         model = Model(ModelConfig(blocks=1, n=8, d=4, heads=2, seed=26))

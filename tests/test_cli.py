@@ -1,10 +1,13 @@
 import csv
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from tokengate import cli
 from tokengate.block import ModelConfig
 from tokengate.cli import load_config, main
 from tokengate.costs import count_block_baseline, count_block_eventful
@@ -13,8 +16,8 @@ from tokengate.harness import CSV_COLUMNS
 from tokengate.streams import StreamConfig
 
 CONFIG = {
-    "model": {"blocks": 2, "N": 16, "D": 8, "H": 2, "mlp_ratio": 4,
-              "mode": "full", "pool_p": 1, "seed": 3},
+    "model": {"blocks": 2, "N": 16, "D": 8, "H": 2, "mode": "full",
+              "pool_p": 1, "seed": 3},
     "stream": {"mode": "sparse_change", "rho": 0.25, "sigma": 1.0,
                "eps": 0.1, "frames": 5, "seed": 4},
     "policy": {"kind": "top_r", "r": 4},
@@ -33,6 +36,7 @@ def config_path(tmp_path):
     ({"modle": {}}, "modle"),
     ({"stream": {"frame": 3}}, "frame"),
     ({"policy": {"kind": "top_r", "R": 4}}, "R"),
+    ({"model": {"mlp_ratio": 4}}, "mlp_ratio"),
 ])
 def test_load_config_rejects_unknown_keys(tmp_path, doc, key):
     path = tmp_path / "config.json"
@@ -183,16 +187,41 @@ def test_bad_model_rejected_before_any_output(tmp_path, model, match):
     assert not archive.exists()
 
 
-@pytest.mark.parametrize("field", ["n", "d", "heads", "mlp_ratio"])
+@pytest.mark.parametrize("field", ["n", "d", "heads"])
 def test_count_rejects_sizes_below_one(field):
-    sizes = {"n": 4, "d": 8, "heads": 2, "mlp_ratio": 4, field: 0}
+    sizes = {"n": 4, "d": 8, "heads": 2, field: 0}
     named = f"{field} must be at least 1"
     with pytest.raises(ValueError, match=named):
         main(["count", "--m=0",
               *(f"--{k.replace('_', '-')}={v}" for k, v in sizes.items())])
     with pytest.raises(ValueError, match=named):
-        count_block_eventful(sizes["n"], 0, sizes["d"], sizes["heads"],
-                             sizes["mlp_ratio"])
+        count_block_eventful(sizes["n"], 0, sizes["d"], sizes["heads"])
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--mlp-ratio", "4"], "unrecognized arguments: --mlp-ratio 4"),
+    (["--mode", "none"], "argument --mode: invalid choice: 'none'"),
+], ids=["mlp-ratio", "mode-none"])
+def test_count_rejects_options_it_does_not_have(option, message, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["count", "--n", "4", "--d", "8", "--heads", "2", *option])
+    assert raised.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tokengate") and message in err
+
+
+def test_documented_configs_load(tmp_path, capsys):
+    # the example config of the README and of the cli module docstring
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    docs = {"README": re.search(r"```json\n(.*?)```", readme, re.S)[1],
+            "cli": re.search(r"\n(  \{\n.*?\n  \})\n", cli.__doc__, re.S)[1]}
+    assert json.loads(docs["README"]) == json.loads(docs["cli"])
+    for name, text in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        load_config(str(path))
+    assert main(["run", "--config", str(tmp_path / "README.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["frames"] == 8
 
 
 def test_run_stream_round_trip(config_path, tmp_path):

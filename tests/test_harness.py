@@ -38,11 +38,16 @@ class TestMetrics:
     def test_relative_l2(self):
         assert relative_l2(np.ones(4), np.ones(4)) == 0.0
         assert relative_l2(np.zeros(3), np.array([3.0, 0.0, 4.0])) == 1.0
+        # against an all-zero oracle the error is the approximation's norm
+        assert relative_l2(np.array([3.0, 4.0]), np.zeros(2)) == 5.0
 
     def test_cosine(self):
         assert cosine_similarity(np.ones(4), np.ones(4)) == pytest.approx(1.0)
         assert cosine_similarity(np.array([1.0, 0.0]),
                                  np.array([0.0, 1.0])) == pytest.approx(0.0)
+        assert cosine_similarity(np.zeros(3), np.zeros(3)) == 1.0
+        assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
+        assert cosine_similarity(np.ones(3), np.zeros(3)) == 0.0
 
 
 class TestRunPair:
@@ -156,8 +161,8 @@ class TestRunPair:
 
         cfg = small_model(r=4, blocks=2)
         report = run_pair(cfg, small_stream(frames=6))
-        per_frame = count_block_baseline(cfg.n, cfg.d, cfg.heads,
-                                         cfg.mlp_ratio)["macs_total"] * cfg.blocks
+        per_frame = count_block_baseline(cfg.n, cfg.d,
+                                         cfg.heads)["macs_total"] * cfg.blocks
         # all but the first frame
         assert report.summary()["baseline_macs_total"] == per_frame * 5
 

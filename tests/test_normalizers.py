@@ -10,6 +10,8 @@ invariants.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +85,16 @@ def test_rescale_when_a_new_score_exceeds_the_offset():
     deviation = state_deviation(state)
     assert state_within_bounds(deviation) and deviation[2] <= 1e-13
     assert snap["nonlinear_elems"] == patched_softmax_exps(n, n, 1, 1)
+
+
+def test_offset_below_a_score_is_out_of_bounds():
+    state = _single_head_state()
+    # row 3's largest scaled score is 10 / sqrt(2); put its offset under it
+    state.row_offset[0, 3] = 10.0 / np.sqrt(2.0) - 1.0
+    deviation = state_deviation(state)
+    assert deviation[2] == math.inf
+    assert state_within_bounds(deviation[:2] + (0.0,))
+    assert not state_within_bounds(deviation)
 
 
 def _changed_frame(rng, state, idx, still=()):
@@ -227,7 +239,7 @@ def test_normalizers_hold_under_any_schedule(case, schedule, h, seed):
 
 
 def test_ledger_is_closed_form_plus_resynced_rows():
-    heads, ratio = 2, 4
+    heads = 2
     for n, d in ((8, 16), (16, 16), (32, 16), (16, 8)):
         for m in range(n + 1):
             ledger = CostLedger()
@@ -237,10 +249,10 @@ def test_ledger_is_closed_form_plus_resynced_rows():
             for t in range(4):
                 model.step(rng.normal((n, d)))
                 if t == 0:    # and the value gate's changes, its whole input
-                    want = count_block_baseline(n, d, heads, ratio)
+                    want = count_block_baseline(n, d, heads)
                     want["adds_overhead"] = n * d
                 else:
-                    want = count_block_eventful(n, m, d, heads, ratio)
+                    want = count_block_eventful(n, m, d, heads)
                     want["nonlinear_elems"] += n * model.blocks[0].attn.resynced
                 assert ledger.frames[-1] == want
 

@@ -1,11 +1,22 @@
 """Every entry point that takes a size rejects a non-integer, a bool, a value
 below the size's minimum and a width that does not split over the heads,
-with a ValueError naming the field or the heads rule."""
+with a ValueError naming the field or the heads rule.  Other malformed
+inputs are rejected with an error that says what is wrong."""
+
+import io
+import json
+import zipfile
 
 import numpy as np
 import pytest
 
-from tokengate.attention import AttentionState, AttentionWeights, head_split
+from tokengate.archive import load_tensors
+from tokengate.attention import (
+    AttentionState,
+    AttentionWeights,
+    head_split,
+    qk_sparse_update,
+)
 from tokengate.block import ModelConfig
 from tokengate.costs import count_block_baseline, count_block_eventful, memory_report
 from tokengate.gates import Buffer, DeltaGate, Gate, Policy, StgtGate
@@ -24,8 +35,7 @@ def _attention_weights(d=8, heads=2):
 ENTRY_POINTS = {
     "ModelConfig": (
         lambda **sizes: ModelConfig(**sizes),
-        {"blocks": 0, "n": 1, "d": 1, "heads": 1, "mlp_ratio": 1, "pool_p": 1,
-         "seed": None}),
+        {"blocks": 0, "n": 1, "d": 1, "heads": 1, "pool_p": 1, "seed": None}),
     "StreamConfig": (
         lambda **sizes: StreamConfig(**sizes),
         {"n": 1, "d": 1, "frames": 1, "seed": None}),
@@ -38,13 +48,11 @@ ENTRY_POINTS = {
                                                           pool=pool),
         {"n": 1, "d": 1, "heads": 1, "pool": 1}),
     "count_block_baseline": (
-        lambda n=16, d=8, heads=2, mlp_ratio=4: count_block_baseline(
-            n, d, heads, mlp_ratio),
-        {"n": 1, "d": 1, "heads": 1, "mlp_ratio": 1}),
+        lambda n=16, d=8, heads=2: count_block_baseline(n, d, heads),
+        {"n": 1, "d": 1, "heads": 1}),
     "count_block_eventful": (
-        lambda n=16, m=4, d=8, heads=2, mlp_ratio=4: count_block_eventful(
-            n, m, d, heads, mlp_ratio),
-        {"n": 1, "m": 0, "d": 1, "heads": 1, "mlp_ratio": 1}),
+        lambda n=16, m=4, d=8, heads=2: count_block_eventful(n, m, d, heads),
+        {"n": 1, "m": 0, "d": 1, "heads": 1}),
     **{cls.__name__: (
         lambda n=16, width=8, cls=cls: cls(n, width, Policy("top_r", r=2)),
         {"n": 1, "width": 1}) for cls in (Gate, DeltaGate, StgtGate)},
@@ -94,3 +102,41 @@ def test_width_that_does_not_split_over_heads_rejected(entry):
     call, _ = ENTRY_POINTS[entry]
     with pytest.raises(ValueError, match="width must divide evenly across heads"):
         call(d=5, heads=2)
+
+
+def _archive_of_version(version):
+    """An in-memory tensor archive whose manifest has ``version``."""
+    raw = io.BytesIO()
+    with zipfile.ZipFile(raw, "w") as zf:
+        zf.writestr("manifest.json", json.dumps({"format_version": version,
+                                                 "tensors": []}))
+    return raw
+
+
+# malformed input -> (call, error type, message)
+BAD_INPUTS = {
+    "Policy-kind": (lambda: Policy("top_k", r=2), ValueError,
+                    "unknown policy kind 'top_k'"),
+    "ModelConfig-mode": (lambda: ModelConfig(mode="sparse"), ValueError,
+                         "unknown mode 'sparse'"),
+    "AttentionState-mode": (
+        lambda: AttentionState(16, 8, 2, Policy(), mode="stgt"), ValueError,
+        "unknown attention mode 'stgt'"),
+    "AttentionWeights-non-square": (
+        lambda: AttentionWeights(*[np.zeros((8, 8))] * 2, np.zeros((8, 4)),
+                                 np.zeros((8, 8)), 2, *[np.zeros(8)] * 4),
+        ValueError, "wv must be square of width 8"),
+    "qk_sparse_update-shape": (
+        lambda: qk_sparse_update(np.zeros((4, 3)), np.zeros((4, 2)),
+                                 np.zeros((4, 2)), np.array([0]), np.array([0])),
+        ValueError, "similarity shape must be"),
+    "load_tensors-version": (lambda: load_tensors(_archive_of_version(2)),
+                             ValueError, "unsupported archive format version"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_malformed_input_rejected(case):
+    call, error, message = BAD_INPUTS[case]
+    with pytest.raises(error, match=f"^{message}"):
+        call()
