@@ -45,11 +45,11 @@ print(f"  MACs: {ledger.macs['qk']} (= 2*N*M*Dh) "
 # --- attention-value product ----------------------------------------------
 policy = Policy("top_r", r=m)
 ledger = CostLedger()
-a_gate = DeltaGate(n, n, policy)              # tokens = columns of A
+a_gate = DeltaGate(n, n, policy, ledger)      # tokens = columns of A
 v_gate = DeltaGate(n, dh, policy)
 
 attn = softmax_rows(b / np.sqrt(dh))
-a_gate(attn.T)
+a_gate.overwrite(attn.T, np.arange(n))
 _, u_v, _ = v_gate(rng.normal((n, dh)))
 av = attn @ u_v                               # frame 1: full product
 

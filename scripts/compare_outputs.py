@@ -10,10 +10,11 @@ own library and round alike.  The grid crosses the modes
 ``stgt``; a ``top_r`` policy with a random budget on every frame and
 threshold policies at 0.3 and 1.0; ``sparse_change`` and ``drift``
 streams; seeds 0-2.  Every case has N = 64 tokens and 20 frames.  Per case
-it hashes the tokens and scores of every frame (the outputs) and the gated
-ledger's per-frame records (the counts).  Prints every case whose outputs
-or counts differ and exits 1 if any case's outputs differ: a refactor
-keeps both, while a counting fix may move the counts alone.
+it hashes the tokens and scores of every frame (the outputs), the gated
+ledger's per-frame records (the counts) and the tokens and scores of
+``Model.baseline_frame`` on every frame (the oracle).  Prints every case
+whose digests differ and exits 1 if any case's outputs or oracle differ:
+a refactor keeps all three, while a counting fix may move the counts alone.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ def budgets(seed: int) -> np.ndarray:
                                           rng.integers(1, N // 4 + 1, FRAMES)))
 
 
-def case_digests(mode, pool, kind, h, stream, seed) -> tuple[str, str]:
-    """SHA-256 of one case's outputs and of its gated ledger's records."""
+def case_digests(mode, pool, kind, h, stream, seed) -> tuple[str, str, str]:
+    """SHA-256 of one case's outputs, of its gated ledger's records and of
+    its oracle's outputs."""
     # imported here: the comparing process imports no library of its own
     from tokengate.block import Model, ModelConfig
     from tokengate.costs import CostLedger
@@ -70,14 +72,16 @@ def case_digests(mode, pool, kind, h, stream, seed) -> tuple[str, str]:
     stream_cfg = StreamConfig(n=N, d=D, frames=FRAMES, mode=stream, rho=0.25,
                               sigma=1.0, eps=0.1, seed=100 + seed)
     schedule = budgets(seed) if h is None else None
-    outputs = hashlib.sha256()
+    outputs, oracle = hashlib.sha256(), hashlib.sha256()
     for t, frame in enumerate(itertools.islice(iter_stream(stream_cfg), FRAMES)):
         if schedule is not None:
             model.set_budget(int(schedule[t]))
-        for out in model.step(frame):
-            outputs.update(np.asarray(out).tobytes())
+        for digest, outs in ((outputs, model.step(frame)),
+                             (oracle, model.baseline_frame(frame))):
+            for out in outs:
+                digest.update(np.asarray(out).tobytes())
     counts = hashlib.sha256(json.dumps(ledger.frames, sort_keys=True).encode())
-    return outputs.hexdigest(), counts.hexdigest()
+    return outputs.hexdigest(), counts.hexdigest(), oracle.hexdigest()
 
 
 def print_digests(cases: list) -> None:
@@ -107,7 +111,7 @@ def main(argv=None) -> int:
         if not (checkout / "src" / "tokengate").is_dir():
             parser.error(f"{checkout} holds no src/tokengate")
     parent, change = grid_digests(args.parent), grid_digests(ROOT)
-    moved = {"outputs": 0, "counts": 0}
+    moved = {"outputs": 0, "counts": 0, "oracle": 0}
     for name, digests in change.items():
         differ = [what for what, new, old in zip(moved, digests, parent[name])
                   if new != old]
@@ -116,8 +120,8 @@ def main(argv=None) -> int:
         if differ:
             print(f"{name}: {' and '.join(differ)} differ")
     print(f"{len(change)} cases: outputs differ in {moved['outputs']}, "
-          f"counts in {moved['counts']}")
-    return 1 if moved["outputs"] else 0
+          f"oracle in {moved['oracle']}, counts in {moved['counts']}")
+    return 1 if moved["outputs"] or moved["oracle"] else 0
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Named-tensor archive: a zip with a JSON manifest and raw float payloads.
 
 Layout: ``manifest.json`` lists one entry per tensor with its name, shape,
-and payload member; each payload is the tensor's values as row-major
-little-endian 32-bit floats.  Any language with a zip reader and a JSON
-parser can produce or consume these files.  Used for sharing stream
-fixtures across implementations.
+dtype (``float32_le``) and payload member; each payload is the tensor's
+values as row-major little-endian 32-bit floats.  ``load_tensors`` raises
+ValueError on an entry that lacks a key, declares another dtype or names a
+missing member.  Any language with a zip reader and a JSON parser can
+read and write them, so stream fixtures are shared across implementations.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import zipfile
 import numpy as np
 
 FORMAT_VERSION = 1
+ENTRY_KEYS = ("name", "shape", "dtype", "member")
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
@@ -41,7 +43,15 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         if manifest.get("format_version") != FORMAT_VERSION:
             raise ValueError("unsupported archive format version")
         for entry in manifest["tensors"]:
-            raw = zf.read(entry["member"])
+            missing = [key for key in ENTRY_KEYS if key not in entry]
+            if missing:
+                raise ValueError(f"manifest entry lacks {', '.join(missing)}")
+            if entry["dtype"] != "float32_le":
+                raise ValueError(f"unsupported tensor dtype {entry['dtype']!r}")
+            try:
+                raw = zf.read(entry["member"])
+            except KeyError:
+                raise ValueError(f"archive has no member {entry['member']!r}") from None
             arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
             out[entry["name"]] = arr.astype(np.float64)
     return out

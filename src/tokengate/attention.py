@@ -6,16 +6,13 @@ token stream:
   * ``B`` — the raw query-key similarity matrix.  When only ``m`` tokens
     changed, the rows at those indices are recomputed against the full key
     buffer and the columns at those indices against the full query buffer,
-    key-major (changed keys x queries).  The columns are written in blocks
-    of B's rows, one cache-sized pass over B that also reads out the old
-    scores there, key-major too, just before it overwrites them; then the
-    rows are written whole.
+    key-major (changed keys x queries), in one cache-sized pass over B that
+    also reads out the old scores there (``qk_sparse_update``).
   * per-row softmax normalizers: an offset at or above every scaled score
     of the row, and the sum of the row's exponentials taken against it, so
     that A = exp(B / sqrt(d_head) - offset) / sum.  Every row has its sum
-    patched at the changed key columns at once, reducing along the key
-    axis: the old exponentials (read out of B by the pass that writes the
-    new scores) are subtracted and the new ones added, and the sum is
+    patched at the changed key columns at once, along the key axis: the
+    old exponentials are subtracted, the new ones added, and the sum is
     rescaled online when a new score rises above its offset.  Rows whose
     query changed then overwrite that from the fresh row product, and a
     row whose sum cancellation leaves at or below ``RESYNC_FRACTION`` of
@@ -32,15 +29,13 @@ token stream:
     down to the selected columns/rows.
 
 Each piece falls back to the oracle's computation on a frame where
-``costs.frame_plan`` says so.  ``B`` and the softmax are patched together
-or taken whole together: a whole softmax reads every score of ``B``
-again, so patching ``B`` before it saves MACs but no time, and ``B`` is
-then the oracle's product ``Q K^T``.  A whole attention-value product
+``costs.frame_plan`` says so: ``B`` and the softmax are patched or taken
+whole together, a whole ``B`` being the oracle's ``Q K^T`` and its softmax
+the oracle's ``kernels.exp_rows``, and a whole attention-value product
 overwrites the attention gate's reference at the value gate's columns
 without computing changes.  A frame where every gate takes every token,
-the first one included, thus runs the oracle's products on the oracle's
-operands.  The scale 1 / sqrt(d_head) is applied when the softmax is
-taken, so ``B`` always stores raw products.
+the first one included, thus runs the oracle's operations on its
+operands.  ``B`` stores raw products; the softmax applies 1 / sqrt(d_head).
 """
 
 from __future__ import annotations
@@ -57,6 +52,7 @@ from .kernels import (
     as_index_set,
     check_heads,
     check_integer,
+    exp_rows,
     softmax_rows,
 )
 
@@ -203,13 +199,12 @@ def av_delta_update(av: TokenMatrix, attn_now: TokenMatrix, a_gate: DeltaGate,
     contiguous rows, so they are written as they are.  ``v_delta`` and
     ``v_now`` are the gathered value changes and updated values at idx.
     After the call ``av`` equals (gate reference A) @ (gate reference V) up
-    to float rounding, whatever was selected.  The attention changes, one
-    subtraction per element, are counted here with the delta products' adds.
+    to float rounding, whatever was selected.  The gate counts the attention
+    changes into its own ledger; ``ledger`` counts the delta products.
     """
     ledger = ledger or NullLedger()
     idx = as_index_set(idx, a_gate.n)
     a_changes = a_gate.forced(attn_now.T, idx)
-    ledger.count_adds(a_changes.size)
     if idx.size == 0:
         return
     term = ledger.matmul("av", attn_now, v_delta)
@@ -309,7 +304,8 @@ class AttentionState:
             # the exponential sum of a zero row of B at offset 0
             self.row_sum = np.full((heads, n), float(self.n_kv))
             self.av = np.zeros((heads, n, self.dh))
-            self.a_gates = [DeltaGate(self.n_kv, n, policy) for _ in range(heads)]
+            self.a_gates = [DeltaGate(self.n_kv, n, policy, self.ledger)
+                            for _ in range(heads)]
             self.v_gate = DeltaGate(self.n_kv, d, policy, self.ledger)
         self.resynced = 0
 
@@ -362,8 +358,7 @@ class AttentionState:
         return head_merge(self.av)
 
     def _full_softmax(self, h):
-        """Softmax of every row of head h: all its rows recomputed, in the
-        operations and order of ``softmax_rows``."""
+        """Softmax of every row of head h, all its rows recomputed."""
         attn = self._recompute_rows(h, slice(None), self.b[h])
         attn /= self.row_sum[h][:, None]
         return attn
@@ -375,12 +370,7 @@ class AttentionState:
         key-major (|cols| x queries).  Returns the attention at the value
         gate's columns v_idx in the same layout, |v_idx| contiguous rows:
         they lie among ``cols`` and so reuse the exponentials of the patch,
-        the row recompute and the resync.
-
-        Every query is patched at once along the key axis; the changed
-        rows then overwrite their entries from their whole-row recompute,
-        and so do the rows resynced after cancellation.
-        """
+        the row recompute and the resync (see the module docstring)."""
         scale = np.sqrt(self.dh)
         offset, total = self.row_offset[h], self.row_sum[h]
         # new_cols becomes every query's exponentials at cols against its offset
@@ -409,13 +399,11 @@ class AttentionState:
 
     def _recompute_rows(self, h, rows, scores):
         """Normalizers of head h's rows from their raw scores (B's values at
-        those rows), N_kv exponentials a row; returns the rows'
-        exponentials against their new offsets."""
+        those rows), N_kv counted exponentials a row by ``exp_rows``;
+        returns the rows' exponentials against their new offsets."""
         x = scores / np.sqrt(self.dh)
-        offset = x.max(axis=1)
-        x -= offset[:, None]
-        self.row_offset[h, rows] = offset
-        self.row_sum[h, rows] = self._exp(x).sum(axis=1)
+        self.ledger.count_nonlinear(x.size)
+        self.row_offset[h, rows], self.row_sum[h, rows] = exp_rows(x, x)
         return x
 
     def _exp(self, x):

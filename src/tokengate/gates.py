@@ -191,10 +191,9 @@ class DeltaGate(Gate):
     Returns the full updated reference plus the gathered per-token change
     (current minus previous reference) at the selected indices: exactly the
     pieces an incremental product update needs.  The first call's previous
-    reference is zero, so its change equals the input.  A call counts its
-    changes, one subtraction per element, besides the selection's cost.
-    It drops its unchanged picks like a plain Gate unless the policy picks
-    every token: in attention its picks also choose the attention gate's
+    reference is zero, so its change equals the input.  It drops its
+    unchanged picks like a plain Gate unless the policy picks every
+    token: in attention its picks also choose the attention gate's
     columns to refresh, and A changes where V did not, so a full budget
     refreshes all of A, while below it A's columns whose V did not change
     stay stale like any unpicked column.
@@ -205,18 +204,16 @@ class DeltaGate(Gate):
 
     def __call__(self, c: TokenMatrix) -> tuple[IndexSet, TokenMatrix, TokenMatrix]:
         c, idx = self._select(c)
-        changes = self.forced(c[idx], idx)
-        self.ledger.count_adds(changes.size)
-        return idx, self.u, changes
+        return idx, self.u, self.forced(c[idx], idx)
 
     def forced(self, rows: TokenMatrix, idx: IndexSet) -> TokenMatrix:
         """``overwrite`` that also returns the changes (rows minus the
-        reference they replace), one subtraction per element; the only
-        rule that turns a write into changes.  The caller counts them: a
-        call on the gate's own picks counts them into its ledger."""
+        reference they replace), counting one subtraction each into the
+        gate's ledger; the only rule that turns a write into changes."""
         idx = as_index_set(idx, self.n)
         old = self.u[idx]
         self.overwrite(rows, idx)
+        self.ledger.count_adds(old.size)
         return np.subtract(rows, old, out=old)
 
     def overwrite(self, rows: TokenMatrix, idx: IndexSet):

@@ -17,6 +17,7 @@ TokenMatrix = np.ndarray
 IndexSet = np.ndarray
 
 _SQRT2 = np.sqrt(2.0)
+LAYER_NORM_EPS = 1e-5
 
 
 def is_integer(x) -> bool:
@@ -67,24 +68,28 @@ def full_index_set(n: int) -> IndexSet:
     return np.arange(n, dtype=np.int64)
 
 
-def softmax_rows(x: TokenMatrix) -> TokenMatrix:
-    """Row-wise softmax, stabilized by subtracting each row's max.
+def exp_rows(x: TokenMatrix, out: TokenMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Write each row's exp(x - row max) into ``out``, which may be x itself,
+    and return the row maxes and sums; a row with no entries raises."""
+    peak = x.max(axis=-1)
+    np.subtract(x, peak[..., None], out=out)
+    np.exp(out, out=out)
+    return peak, out.sum(axis=-1)
 
-    The shifted copy is the only temporary: it is exponentiated and
-    normalized in place.  An input with no rows gives an empty result; a
-    row with no entries has no max, so an input whose last axis has length
-    0 raises numpy's ValueError.
-    """
+
+def softmax_rows(x: TokenMatrix) -> TokenMatrix:
+    """Row-wise softmax: ``exp_rows`` into one new array, normalized in
+    place.  An input with no rows gives an empty result."""
     x = np.asarray(x, dtype=np.float64)
-    e = x - x.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e = np.empty_like(x)
+    _, total = exp_rows(x, e)
+    e /= total[..., None]
     return e
 
 
-def layer_norm(x: TokenMatrix, gamma, beta, eps: float = 1e-5) -> TokenMatrix:
-    """Per-row normalization (biased variance), scaled by gamma, shifted by
-    beta, in place on one centred copy of x."""
+def layer_norm(x: TokenMatrix, gamma, beta) -> TokenMatrix:
+    """Per-row normalization (biased variance, plus ``LAYER_NORM_EPS``),
+    scaled by gamma, shifted by beta, in place on one centred copy of x."""
     x = np.asarray(x, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
@@ -92,7 +97,7 @@ def layer_norm(x: TokenMatrix, gamma, beta, eps: float = 1e-5) -> TokenMatrix:
         raise ValueError("gamma/beta length must equal the token width")
     y = x - x.mean(axis=1, keepdims=True)
     var = np.mean(y * y, axis=1, keepdims=True)
-    y /= np.sqrt(var + eps)
+    y /= np.sqrt(var + LAYER_NORM_EPS)
     y *= gamma
     y += beta
     return y

@@ -57,3 +57,42 @@ def test_import_rejects_non_stream_archives(tmp_path):
     with pytest.raises(ValueError):
         import_stream(path)
 
+
+
+def _write_archive(path, entries, members):
+    with zipfile.ZipFile(path, "w") as zf:
+        for member, raw in members.items():
+            zf.writestr(member, raw)
+        zf.writestr("manifest.json", json.dumps(
+            {"format_version": 1, "tensors": entries}))
+
+
+FLOAT32_ENTRY = {"name": "frame_00000", "shape": [2, 2],
+                 "dtype": "float32_le", "member": "t.bin"}
+FLOAT32_MEMBERS = {"t.bin": np.arange(4, dtype="<f4").tobytes()}
+
+
+def test_rejects_a_dtype_other_than_float32(tmp_path):
+    # four float64 values read as float32 would fill a 2 x 4 frame
+    path = tmp_path / "float64.zip"
+    _write_archive(path, [{**FLOAT32_ENTRY, "shape": [2, 4], "dtype": "float64_le"}],
+                   {"t.bin": np.arange(4, dtype="<f8").tobytes()})
+    for load in (load_tensors, import_stream):
+        with pytest.raises(ValueError, match="dtype 'float64_le'"):
+            load(path)
+
+
+@pytest.mark.parametrize("key", ["name", "shape", "dtype", "member"])
+def test_rejects_an_entry_that_lacks_a_key(tmp_path, key):
+    path = tmp_path / "lacking.zip"
+    entry = {k: v for k, v in FLOAT32_ENTRY.items() if k != key}
+    _write_archive(path, [entry], FLOAT32_MEMBERS)
+    with pytest.raises(ValueError, match=f"lacks {key}"):
+        load_tensors(path)
+
+
+def test_rejects_a_missing_member(tmp_path):
+    path = tmp_path / "missing.zip"
+    _write_archive(path, [{**FLOAT32_ENTRY, "member": "gone.bin"}], FLOAT32_MEMBERS)
+    with pytest.raises(ValueError, match="no member 'gone.bin'"):
+        load_tensors(path)

@@ -370,15 +370,17 @@ class TestAvDeltaUpdate:
             np.testing.assert_allclose(av, a_gate.u.T @ v_gate.u, atol=1e-12)
 
     def test_counts_the_attention_changes(self):
-        # |idx| * N subtractions for the attention changes, into the ledger
-        # the update is given, next to the delta products' adds
+        # |idx| * N subtractions for the attention changes, counted by the
+        # attention gate into its ledger, next to the delta products' adds
+        # that the update counts into the same ledger
         rng = SplitRng(15)
         n, dh = 4, 3
-        a_gate, v_gate = DeltaGate(n, n, Policy("top_r", r=2)), DeltaGate(n, dh, Policy())
+        ledger = CostLedger()
+        a_gate = DeltaGate(n, n, Policy("top_r", r=2), ledger)
+        v_gate = DeltaGate(n, dh, Policy())
         av = np.zeros((n, dh))
         idx = np.array([0, 2])
         v_changes = v_gate.forced(rng.normal((idx.size, dh)), idx)
-        ledger = CostLedger()
         av_delta_update(av, random_attention(rng, n)[:, idx], a_gate, idx,
                         v_changes, v_gate.u[idx], ledger)
         assert ledger.adds == idx.size * n + v_changes.size + 2 * av.size

@@ -151,6 +151,19 @@ class TestFramePlan:
             moved += below and not patch
         assert moved > 0
 
+    def test_a_patched_frame_never_takes_the_attention_value_product_whole(self):
+        """At most cols of the values lie among the changed columns, so a
+        patch, which needs outside = 0, has values <= cols, and its
+        n(2 cols + 1) exponentials pass n n_kv once 2 values >= n_kv."""
+        patched = 0
+        for n, n_kv, rows, cols, values in _plan_grid():
+            for outside in range(max(0, values - cols), values + 1):
+                geometry = (n, n_kv, rows, cols, values, outside)
+                patch, whole_av = frame_plan(*geometry)
+                assert not (patch and whole_av), geometry
+                patched += patch
+        assert patched > 0
+
     def test_a_value_column_outside_the_changed_ones_never_patches(self):
         patched = 0
         for n, n_kv, rows, cols, values in _plan_grid():

@@ -9,7 +9,15 @@ from scipy.special import erf
 
 from tokengate.block import _mlp_forward
 from tokengate.costs import CostLedger, NullLedger
-from tokengate.kernels import as_index_set, gelu, layer_norm, row_l2_norms, softmax_rows
+from tokengate.kernels import (
+    LAYER_NORM_EPS,
+    as_index_set,
+    exp_rows,
+    gelu,
+    layer_norm,
+    row_l2_norms,
+    softmax_rows,
+)
 
 from oracles import complement_indices
 
@@ -89,15 +97,31 @@ class TestSoftmaxRows:
         np.testing.assert_allclose(out.sum(), 1.0)
 
 
+class TestExpRows:
+    def test_in_place_returns_maxes_and_sums(self):
+        x = np.array([[0.0, np.log(2.0)], [3.0, 1.0]])
+        peak, total = exp_rows(x, x)
+        np.testing.assert_array_equal(peak, [np.log(2.0), 3.0])
+        np.testing.assert_allclose(x, [[0.5, 1.0], [1.0, np.exp(-2.0)]])
+        np.testing.assert_array_equal(total, x.sum(axis=1))
+
+    def test_into_another_array_leaves_the_input(self):
+        x = np.array([[1.0, 2.0, 3.0]])
+        out = np.empty_like(x)
+        exp_rows(x, out)
+        np.testing.assert_array_equal(x, [[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(out, np.exp(x - 3.0))
+
+
 class TestLayerNorm:
     def test_constant_row_zeroed(self):
         out = layer_norm(np.full((2, 4), 7.0), np.ones(4), np.zeros(4))
         np.testing.assert_allclose(out, 0.0, atol=1e-9)
 
     def test_unit_variance_fixed_point(self):
-        out = layer_norm(np.array([[1.0, -1.0]]), np.ones(2), np.zeros(2),
-                         eps=1e-12)
-        np.testing.assert_allclose(out, [[1.0, -1.0]], atol=1e-6)
+        out = layer_norm(np.array([[1.0, -1.0]]), np.ones(2), np.zeros(2))
+        unit = 1 / np.sqrt(1 + LAYER_NORM_EPS)
+        np.testing.assert_allclose(out, [[unit, -unit]], atol=1e-6)
 
     def test_beta_shift(self):
         beta = np.array([1.0, 2.0, 3.0])
