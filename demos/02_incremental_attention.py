@@ -2,8 +2,10 @@
 
 Two updates keep attention exact while touching only changed tokens:
 
-  1. the raw query-key similarity matrix gets its changed rows recomputed
-     against all keys and its changed columns against all queries;
+  1. the query-key similarity matrix, the softmax's input (the queries
+     carry its 1/sqrt(d_head), as in the library), gets its changed rows
+     recomputed against all keys and its changed columns against all
+     queries;
   2. the attention-value product is advanced by the aligned delta identity
      new = old + A_now dV + dA (V_now - dV), with the attention-side gate
      forced onto the value gate's indices.
@@ -28,11 +30,11 @@ rng = SplitRng(7)
 n, dh, m = 64, 16, 8
 
 # --- query-key similarity -------------------------------------------------
-q, k = rng.normal((n, dh)), rng.normal((n, dh))
+q, k = rng.normal((n, dh)) / np.sqrt(dh), rng.normal((n, dh))
 b = q @ k.T                                   # frame 1: full product
 
 idx = rng.choice_without_replacement(n, m)    # m tokens change on frame 2
-q[idx] = rng.normal((m, dh))
+q[idx] = rng.normal((m, dh)) / np.sqrt(dh)
 k[idx] = rng.normal((m, dh))
 
 ledger = CostLedger()
@@ -48,12 +50,12 @@ ledger = CostLedger()
 a_gate = DeltaGate(n, n, policy, ledger)      # tokens = columns of A
 v_gate = DeltaGate(n, dh, policy)
 
-attn = softmax_rows(b / np.sqrt(dh))
+attn = softmax_rows(b)
 a_gate.overwrite(attn.T, np.arange(n))
 _, u_v, _ = v_gate(rng.normal((n, dh)))
 av = attn @ u_v                               # frame 1: full product
 
-attn = softmax_rows(b / np.sqrt(dh))          # frame 2's attention
+attn = softmax_rows(b)                        # frame 2's attention
 v_idx, u_v, v_changes = v_gate(rng.normal((n, dh)))
 # the update reads frame 2's attention only at the value gate's columns
 av_delta_update(av, attn[:, v_idx], a_gate, v_idx, v_changes, u_v[v_idx],

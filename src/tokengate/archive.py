@@ -3,9 +3,11 @@
 Layout: ``manifest.json`` lists one entry per tensor with its name, shape,
 dtype (``float32_le``) and payload member; each payload is the tensor's
 values as row-major little-endian 32-bit floats.  ``load_tensors`` raises
-ValueError on an entry that lacks a key, declares another dtype or names a
-missing member.  Any language with a zip reader and a JSON parser can
-read and write them, so stream fixtures are shared across implementations.
+ValueError on an entry that lacks a key, repeats an earlier entry's name,
+has a shape that is not a list of nonnegative integers, declares another
+dtype or names a missing member.  Any language with a zip reader and a
+JSON parser can read and write them, so stream fixtures are shared across
+implementations.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import json
 import zipfile
 
 import numpy as np
+
+from .kernels import check_integer
 
 FORMAT_VERSION = 1
 ENTRY_KEYS = ("name", "shape", "dtype", "member")
@@ -46,6 +50,12 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             missing = [key for key in ENTRY_KEYS if key not in entry]
             if missing:
                 raise ValueError(f"manifest entry lacks {', '.join(missing)}")
+            if entry["name"] in out:
+                raise ValueError(f"archive repeats tensor name {entry['name']!r}")
+            if not isinstance(entry["shape"], list):
+                raise ValueError(f"tensor shape must be a list, got {entry['shape']!r}")
+            for size in entry["shape"]:
+                check_integer("shape entry", size, 0)
             if entry["dtype"] != "float32_le":
                 raise ValueError(f"unsupported tensor dtype {entry['dtype']!r}")
             try:

@@ -3,14 +3,14 @@
 The incremental path maintains four persistent pieces per head across a
 token stream:
 
-  * ``B`` — the raw query-key similarity matrix.  When only ``m`` tokens
+  * ``B`` — the query-key similarity matrix.  When only ``m`` tokens
     changed, the rows at those indices are recomputed against the full key
     buffer and the columns at those indices against the full query buffer,
     key-major (changed keys x queries), in one cache-sized pass over B that
     also reads out the old scores there (``qk_sparse_update``).
-  * per-row softmax normalizers: an offset at or above every scaled score
-    of the row, and the sum of the row's exponentials taken against it, so
-    that A = exp(B / sqrt(d_head) - offset) / sum.  Every row has its sum
+  * per-row softmax normalizers: an offset at or above every score of the
+    row, and the sum of the row's exponentials taken against it, so that
+    A = exp(B - offset) / sum.  Every row has its sum
     patched at the changed key columns at once, along the key axis: the
     old exponentials are subtracted, the new ones added, and the sum is
     rescaled online when a new score rises above its offset.  Rows whose
@@ -35,7 +35,8 @@ the oracle's ``kernels.exp_rows``, and a whole attention-value product
 overwrites the attention gate's reference at the value gate's columns
 without computing changes.  A frame where every gate takes every token,
 the first one included, thus runs the oracle's operations on its
-operands.  ``B`` stores raw products; the softmax applies 1 / sqrt(d_head).
+operands.  The queries carry 1 / sqrt(d_head) into ``B``, so no score is
+scaled again.
 """
 
 from __future__ import annotations
@@ -103,13 +104,11 @@ def _project(x, w, b, ledger):
 
 
 def _attend_heads(q, k, v, heads, ledger):
+    """Per-head softmax(q k^T) v of queries already scaled by 1/sqrt(d_head)."""
     qh, kh, vh = head_split(q, heads), head_split(k, heads), head_split(v, heads)
-    dh = qh.shape[2]
-    out = np.empty((heads, qh.shape[1], dh))
+    out = np.empty(qh.shape)
     for h in range(heads):
-        scores = ledger.matmul("qk", qh[h], kh[h].T)
-        scores /= np.sqrt(dh)
-        attn = softmax_rows(scores)
+        attn = softmax_rows(ledger.matmul("qk", qh[h], kh[h].T))
         ledger.count_nonlinear(attn.size)
         out[h] = ledger.matmul("av", attn, vh[h])
     return out
@@ -125,6 +124,7 @@ def msa_baseline(x_norm: TokenMatrix, w: AttentionWeights,
     ledger = ledger or NullLedger()
     grid = _pool_grid(x_norm.shape[0], pool)
     q = _project(x_norm, w.wq, w.bq, ledger)
+    q /= np.sqrt(w.width // w.heads)
     k = pool_tokens(_project(x_norm, w.wk, w.bk, ledger), grid, pool)
     v = pool_tokens(_project(x_norm, w.wv, w.bv, ledger), grid, pool)
     merged = head_merge(_attend_heads(q, k, v, w.heads, ledger))
@@ -311,8 +311,9 @@ class AttentionState:
 
     def step(self, idx: IndexSet, q_new: TokenMatrix, k_new: TokenMatrix,
              v_new: TokenMatrix) -> TokenMatrix:
-        """Fold in freshly projected rows at idx; return the weighted values."""
-        q = self.q_buf(idx, q_new)
+        """Fold in freshly projected rows at idx, the queries scaled by
+        1 / sqrt(d_head); return the weighted values."""
+        q = self.q_buf(idx, q_new / np.sqrt(self.dh))
         k = pool_tokens(self.k_buf(idx, k_new), self.grid, self.pool)
         v = pool_tokens(self.v_buf(idx, v_new), self.grid, self.pool)
         if self.mode == "tokenwise_only":
@@ -371,16 +372,13 @@ class AttentionState:
         gate's columns v_idx in the same layout, |v_idx| contiguous rows:
         they lie among ``cols`` and so reuse the exponentials of the patch,
         the row recompute and the resync (see the module docstring)."""
-        scale = np.sqrt(self.dh)
         offset, total = self.row_offset[h], self.row_sum[h]
         # new_cols becomes every query's exponentials at cols against its offset
         if cols.size:
-            old /= scale
             old -= offset
             kept = total - self._exp(old).sum(axis=0)
             synced = kept > RESYNC_FRACTION * total
             synced[rows] = True          # recomputed whole below
-            new_cols /= scale
             new_offset = np.maximum(offset, new_cols.max(axis=0))
             new_cols -= new_offset
             total[:] = (kept * self._exp(offset - new_offset)
@@ -398,12 +396,12 @@ class AttentionState:
         return exps
 
     def _recompute_rows(self, h, rows, scores):
-        """Normalizers of head h's rows from their raw scores (B's values at
-        those rows), N_kv counted exponentials a row by ``exp_rows``;
-        returns the rows' exponentials against their new offsets."""
-        x = scores / np.sqrt(self.dh)
+        """Normalizers of head h's rows from their scores (B's values at
+        those rows, left as they are), N_kv counted exponentials a row by
+        ``exp_rows``; returns the rows' exponentials, a new array."""
+        x = np.empty_like(scores)
         self.ledger.count_nonlinear(x.size)
-        self.row_offset[h, rows], self.row_sum[h, rows] = exp_rows(x, x)
+        self.row_offset[h, rows], self.row_sum[h, rows] = exp_rows(scores, x)
         return x
 
     def _exp(self, x):

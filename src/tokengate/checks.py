@@ -140,15 +140,15 @@ def check_policies(vectors: int = 200, seed: int = 2) -> tuple[str, bool, str]:
             for cls, want in ((Gate, gate_want), (DeltaGate, delta_want)):
                 gate = cls(n, 2, policy)
                 gate(np.zeros((n, 2)))
-                # sqrt(x * x) == x, so the gate sees exactly these norms
+                # the norm of (x, 0) is x exactly, so the gate sees these norms
                 ok &= gate(np.stack([norms, np.zeros(n)], axis=1))[0].tolist() == want
     return ("policy_oracle_agreement", bool(ok), f"{vectors} random vectors")
 
 
 def state_deviation(attn: AttentionState) -> tuple[float, float, float]:
     """Worst gaps, over heads, of an incremental attention state from what
-    it caches: B against queries times (pooled) keys and the cached A V
-    against the attention gates' reference times the value gate's, both
+    it caches: B against scaled queries times (pooled) keys and the cached
+    A V against the attention gates' reference times the value gate's, both
     absolute; kept softmax row sums against the sums from B at the rows'
     offsets, relative, infinite if an offset lies below a score."""
     qh = head_split(attn.q_buf.b, attn.heads)
@@ -157,7 +157,7 @@ def state_deviation(attn: AttentionState) -> tuple[float, float, float]:
     a_ref = np.stack([gate.u.T for gate in attn.a_gates])
     qk = float(np.abs(attn.b - qh @ kh.transpose(0, 2, 1)).max())
     av = float(np.abs(attn.av - a_ref @ vh).max())
-    shifted = attn.b / np.sqrt(attn.dh) - attn.row_offset[:, :, None]
+    shifted = attn.b - attn.row_offset[:, :, None]
     if (shifted > 0).any():
         return qk, av, math.inf
     exact = np.exp(shifted).sum(axis=2)

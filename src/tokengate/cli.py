@@ -34,6 +34,7 @@ from .checks import run_all_checks
 from .costs import count_block_baseline, count_block_eventful, memory_report
 from .gates import Policy
 from .harness import (
+    check_stream_length,
     measure_walltime,
     run_pair,
     sweep_budget,
@@ -77,9 +78,9 @@ def load_config(path) -> tuple[ModelConfig, StreamConfig, list[int] | None]:
     """Parse a config document; a missing key takes the default of the
     config class it feeds.  A document or section that is not a JSON
     object, unknown keys, a schedule that is not a list of
-    nonnegative integers, a schedule under a policy without a budget, and a
-    stream of fewer than 2 frames (every command pairs its runs over the
-    frames after the first) raise ValueError."""
+    nonnegative integers and a schedule under a policy without a budget
+    raise ValueError.  The stream's length is checked where its frames are
+    made, since ``run --load-stream`` takes them from an archive instead."""
     with open(path) as fh:
         doc = json.load(fh)
     _check_sections(doc)
@@ -98,9 +99,6 @@ def load_config(path) -> tuple[ModelConfig, StreamConfig, list[int] | None]:
     model_cfg = ModelConfig(**model, policy=policy)
     stream_cfg = StreamConfig(n=model_cfg.n, d=model_cfg.d,
                               **doc.get("stream", {}))
-    if stream_cfg.frames < 2:
-        raise ValueError(f"a stream needs at least 2 frames, "
-                         f"got {stream_cfg.frames}")
     return model_cfg, stream_cfg, doc.get("schedule")
 
 
@@ -110,6 +108,7 @@ def _cmd_run(args) -> int:
     if args.load_stream:
         frames = import_stream(args.load_stream)
     elif args.save_stream:
+        check_stream_length(stream_cfg.frames)   # before the archive is written
         export_stream(args.save_stream, gen_stream(stream_cfg))
         # run on the round-tripped frames so results match any later
         # consumer of the fixture (the archive stores 32-bit floats)
@@ -150,7 +149,7 @@ def _cmd_count(args) -> int:
     doc = {
         "baseline": base,
         "memory": memory_report(args.n, args.d, args.heads,
-                                args.bytes_per_element),
+                                args.bytes_per_element, args.mode),
         "gated": gated,
         "savings_ratio": base["macs_total"] / gated["macs_total"],
     }

@@ -126,7 +126,8 @@ def frame_plan(n: int, n_kv: int, rows: int, cols: int, values: int,
     """The whole-or-patch rules of one frame of incremental attention.
 
     ``rows`` of n queries and ``cols`` of n_kv key columns changed; the
-    value gate picked ``values`` columns, ``outside`` of them unchanged.
+    value gate picked ``values`` columns, ``outside`` of them unchanged, so
+    ``outside <= values <= cols + outside`` or ValueError is raised.
     Each rule takes a piece whole, as the oracle does, where patching would
     cost at least as many MACs or exponentials.  B and the softmax are
     decided together, from a clock measurement: a whole softmax reads every
@@ -149,6 +150,9 @@ def frame_plan(n: int, n_kv: int, rows: int, cols: int, values: int,
       whole_av  the attention-value product whole when 2*values >= n_kv;
                 otherwise it is advanced by the delta identity.
     """
+    if not outside <= values <= cols + outside:
+        raise ValueError(f"a frame of {values} value columns, {outside} of "
+                         f"them outside the {cols} changed ones, cannot occur")
     patch = (outside == 0
              and patched_softmax_exps(n, n_kv, rows, cols) + n * values < n * n_kv)
     whole_av = 2 * values >= n_kv
@@ -161,6 +165,12 @@ def _check_sizes(n: int, d: int, h: int, **more):
     for name, size in dict(n=n, d=d, **more).items():
         check_integer(name, size, 1)
     check_heads(d, h)
+
+
+def _check_closed_form(mode: str):
+    """Raise ValueError unless mode is "full", "tokenwise_only" or "stgt"."""
+    if mode not in ("full", "tokenwise_only", "stgt"):
+        raise ValueError(f"no closed-form cost for mode {mode!r}")
 
 
 def count_block_baseline(n: int, d: int, h: int) -> dict:
@@ -195,6 +205,7 @@ def count_block_eventful(n: int, m: int, d: int, h: int,
     costed by instrumentation only.
     """
     _check_sizes(n, d, h)
+    _check_closed_form(mode)
     check_integer("m", m, 0)
     if m > n:
         raise ValueError(f"m must be at most n = {n}, got {m}")
@@ -210,40 +221,36 @@ def count_block_eventful(n: int, m: int, d: int, h: int,
             adds += h * m * n             # the forced gates' changes,
             adds += 2 * n * d + m * d     # the delta products' extra adds
         exps = patched_softmax_exps(n, n, m, m) if patch else n * n
-    elif mode in ("tokenwise_only", "stgt"):
+    else:
         qk = av = n * n * d
         gate_norms = 3 * n * d            # qkv, projection, MLP gates
         adds = 3 * n * d
         exps = n * n
-    else:
-        raise ValueError(f"no closed-form cost for mode {mode!r}")
     return cost_record(token_wise, qk, av, gate_norms, adds,
                        _norm_and_gelu_elems(m, d) + h * exps)
 
 
-def memory_report(n: int, d: int, h: int, bytes_per_element: int = 4) -> dict:
-    """Bytes of persistent state of one ``full``-mode block at pool factor 1,
-    tensor by tensor (the other modes hold less).  The library stores float64,
-    so its own state is the report at 8 bytes per element, not the default 4."""
+def memory_report(n: int, d: int, h: int, bytes_per_element: int = 4,
+                  mode: str = "full") -> dict:
+    """Bytes of persistent state of one block at pool factor 1, tensor by
+    tensor, in a mode with a closed form, as ``count_block_eventful``.
+    Every mode keeps three token gates' references and five buffers;
+    "full" adds the similarity matrix, the softmax normalizers, the
+    attention and value gates' references and the attention-value cache.
+    The library stores float64, so its own state is the report at 8 bytes
+    per element, not the default 4."""
     _check_sizes(n, d, h, bytes_per_element=bytes_per_element)
+    _check_closed_form(mode)
     token = n * d * bytes_per_element
-    attn = n * n * h * bytes_per_element
-    rows = n * h * bytes_per_element
-    report = {
-        "token_gate_reference": token,
-        "query_buffer": token,
-        "key_buffer": token,
-        "value_buffer": token,
-        "similarity_buffer": attn,
-        "softmax_row_offsets": rows,
-        "softmax_row_sums": rows,
-        "attention_gate_reference": attn,
-        "value_gate_reference": token,
-        "attention_value_cache": token,
-        "projection_gate_reference": token,
-        "projection_buffer": token,
-        "mlp_gate_reference": token,
-        "mlp_buffer": token,
-    }
+    report = dict.fromkeys(
+        ("token_gate_reference", "query_buffer", "key_buffer", "value_buffer",
+         "projection_gate_reference", "projection_buffer",
+         "mlp_gate_reference", "mlp_buffer"), token)
+    if mode == "full":
+        attn = n * n * h * bytes_per_element
+        rows = n * h * bytes_per_element
+        report.update(similarity_buffer=attn, softmax_row_offsets=rows,
+                      softmax_row_sums=rows, attention_gate_reference=attn,
+                      value_gate_reference=token, attention_value_cache=token)
     report["block_total"] = sum(report.values())
     return report

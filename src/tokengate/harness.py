@@ -73,6 +73,14 @@ class RunReport:
         }
 
 
+def check_stream_length(frames: int):
+    """Raise ValueError below 2 frames: a run's summary covers the frames
+    after the first."""
+    if frames < 2:
+        raise ValueError(f"a stream needs at least 2 frames, got {frames}: "
+                         f"the summary covers the frames after the first")
+
+
 def run_pair(model_cfg: ModelConfig, stream_cfg: StreamConfig,
              schedule: list[int] | None = None,
              frames: np.ndarray | list | None = None) -> RunReport:
@@ -96,9 +104,7 @@ def run_pair(model_cfg: ModelConfig, stream_cfg: StreamConfig,
     else:
         frames = np.asarray(frames, dtype=np.float64)
         count, shape = len(frames), frames.shape[1:]
-    if count < 2:
-        raise ValueError("need at least 2 frames: the summary covers the "
-                         "frames after the first")
+    check_stream_length(count)
     if shape != (model_cfg.n, model_cfg.d):
         raise ValueError("stream and model disagree on token shape")
     # freeing 4 MB raises glibc's trim threshold, so the oracle's freed

@@ -96,3 +96,31 @@ def test_rejects_a_missing_member(tmp_path):
     _write_archive(path, [{**FLOAT32_ENTRY, "member": "gone.bin"}], FLOAT32_MEMBERS)
     with pytest.raises(ValueError, match="no member 'gone.bin'"):
         load_tensors(path)
+
+
+@pytest.mark.parametrize("shape, match", [
+    ([-1, 2], "shape entry must be at least 0"),
+    ([2.0, 4], "shape entry must be an integer"),
+    (8, "shape must be a list"),
+], ids=["inferred", "float", "not-a-list"])
+def test_rejects_a_shape_that_is_not_nonnegative_integers(tmp_path, shape, match):
+    # reshape would take each of these: [-1, 2] over eight values as 4 x 2
+    path = tmp_path / "shape.zip"
+    _write_archive(path, [{**FLOAT32_ENTRY, "shape": shape}],
+                   {"t.bin": np.arange(8, dtype="<f4").tobytes()})
+    for load in (load_tensors, import_stream):
+        with pytest.raises(ValueError, match=match):
+            load(path)
+
+
+def test_rejects_a_repeated_name(tmp_path):
+    # the second frame_00000 would replace the first
+    path = tmp_path / "repeated.zip"
+    members = {"a.bin": np.arange(8, dtype="<f4").tobytes(),
+               "b.bin": np.arange(8, dtype="<f4").tobytes()}
+    _write_archive(path, [{**FLOAT32_ENTRY, "shape": [2, 4], "member": "a.bin"},
+                          {**FLOAT32_ENTRY, "shape": [4, 2], "member": "b.bin"}],
+                   members)
+    for load in (load_tensors, import_stream):
+        with pytest.raises(ValueError, match="repeats tensor name 'frame_00000'"):
+            load(path)

@@ -128,6 +128,23 @@ class TestMsaBaseline:
             msa_baseline(x, w),
             msa_scalar_oracle(x, w.wq, w.wk, w.wv, w.wp, 2), atol=1e-6)
 
+    @pytest.mark.parametrize("dh", [4, 16, 64, 8, 32])
+    def test_queries_scaled_once_before_the_product(self, dh):
+        """The queries carry 1/sqrt(d_head) into Q K^T; scaling the product
+        instead gives the same attention, bitwise where sqrt(d_head) is a
+        power of two (the division commutes exactly with the product) and
+        to rounding elsewhere."""
+        rng = SplitRng(5)
+        heads = 2
+        w = random_weights(rng, heads * dh, heads)
+        x = rng.normal((12, heads * dh))
+        got = msa_baseline(x, w)
+        want = head_merge(np.stack(list(_exact_heads(x, w)))) @ w.wp
+        if dh in (4, 16, 64):
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
 
 class TestQkSparseUpdate:
     def _instance(self, seed, n, dh):
@@ -585,11 +602,13 @@ class TestAttentionState:
         from tokengate.kernels import softmax_rows
         state = self._drive("full", 1, 4, r=4, seed=19)
         for h in range(state.heads):
-            attn = softmax_rows(state.b[h] / np.sqrt(state.dh))
+            attn = softmax_rows(state.b[h])
             np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-6)
 
 
 def _exact_heads(x, w):
+    """Per-head softmax(Q K^T / sqrt(d_head)) V, the scale applied to the
+    product."""
     from tokengate.kernels import softmax_rows
 
     q, k, v = x @ w.wq, x @ w.wk, x @ w.wv

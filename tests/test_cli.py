@@ -235,6 +235,31 @@ def test_run_stream_round_trip(config_path, tmp_path):
     assert json.loads(open(out_a).read()) == json.loads(open(out_b).read())
 
 
+def test_load_stream_ignores_the_stream_section_s_length(config_path,
+                                                          tmp_path, capsys):
+    # the archive's 5 frames are run; the stream section's 1 frame is unused
+    archive = str(tmp_path / "stream.zip")
+    assert main(["run", "--config", config_path, "--save-stream", archive]) == 0
+    saved = json.loads(capsys.readouterr().out)
+    path = tmp_path / "one-frame.json"
+    path.write_text(json.dumps(dict(CONFIG, stream=dict(CONFIG["stream"],
+                                                        frames=1))))
+    assert main(["run", "--config", str(path), "--load-stream", archive]) == 0
+    assert json.loads(capsys.readouterr().out) == saved
+
+
+@pytest.mark.parametrize("command", [["sweep", "--r-values", "2"],
+                                     ["time", "--reps", "3"]])
+def test_one_generated_frame_is_refused_before_any_output(tmp_path, capsys,
+                                                          command):
+    path = tmp_path / "one-frame.json"
+    path.write_text(json.dumps(dict(CONFIG, stream=dict(CONFIG["stream"],
+                                                        frames=1))))
+    with pytest.raises(ValueError, match="at least 2 frames, got 1"):
+        main([command[0], "--config", str(path), *command[1:]])
+    assert capsys.readouterr().out == ""
+
+
 def test_save_and_load_stream_are_exclusive(config_path, tmp_path, capsys):
     # one run either exports its frames or imports a fixture, never both
     archive = str(tmp_path / "a.zip")
@@ -282,6 +307,18 @@ def test_count_memory_at_the_library_element_size(capsys):
     assert main(args + ["--bytes-per-element", "8"]) == 0
     eight = json.loads(capsys.readouterr().out)["memory"]
     assert eight == {key: 2 * value for key, value in four.items()}
+
+
+def test_count_memory_of_the_mode_asked_about(capsys):
+    args = ["count", "--n", "64", "--m", "8", "--d", "16", "--heads", "4",
+            "--bytes-per-element", "8"]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["memory"]["block_total"] == 348_160
+    for mode in ("tokenwise_only", "stgt"):
+        assert main(args + ["--mode", mode]) == 0
+        memory = json.loads(capsys.readouterr().out)["memory"]
+        # three token gates' references and five buffers of 64 x 16
+        assert memory["block_total"] == 8 * 64 * 16 * 8 == 65_536
 
 
 def test_time_table(config_path, capsys):

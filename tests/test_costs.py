@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import run_instrumented_block
-from tokengate.block import Model, ModelConfig, block_baseline, init_model_weights
+from tokengate.attention import AttentionState
+from tokengate.block import (
+    GatedBlock,
+    Model,
+    ModelConfig,
+    block_baseline,
+    init_model_weights,
+)
 from tokengate.costs import (
     CostLedger,
     NullLedger,
@@ -15,7 +22,7 @@ from tokengate.costs import (
     memory_report,
     patched_softmax_exps,
 )
-from tokengate.gates import Policy
+from tokengate.gates import Buffer, Gate, Policy
 from tokengate.rng import SplitRng
 from tokengate.streams import StreamConfig, gen_stream
 
@@ -146,9 +153,11 @@ class TestFramePlan:
         moved = 0
         for n, n_kv, rows, cols, values in _plan_grid():
             below = rows * n_kv + n * cols < n * n_kv
-            patch, _ = frame_plan(n, n_kv, rows, cols, values, 0)
-            assert below or not patch, (n, n_kv, rows, cols, values)
-            moved += below and not patch
+            for outside in range(max(0, values - cols), values + 1):
+                geometry = (n, n_kv, rows, cols, values, outside)
+                patch, _ = frame_plan(*geometry)
+                assert below or not patch, geometry
+                moved += below and not patch
         assert moved > 0
 
     def test_a_patched_frame_never_takes_the_attention_value_product_whole(self):
@@ -167,10 +176,20 @@ class TestFramePlan:
     def test_a_value_column_outside_the_changed_ones_never_patches(self):
         patched = 0
         for n, n_kv, rows, cols, values in _plan_grid():
-            for outside in range(1, values + 1):
+            for outside in range(max(1, values - cols), values + 1):
                 assert not frame_plan(n, n_kv, rows, cols, values, outside)[0]
-            patched += frame_plan(n, n_kv, rows, cols, values, 0)[0]
+            if values <= cols:
+                patched += frame_plan(n, n_kv, rows, cols, values, 0)[0]
         assert patched > 0
+
+    @pytest.mark.parametrize("cols, values, outside",
+                             [(0, 1, 0), (2, 4, 1), (2, 1, 2)],
+                             ids=["values-beyond-the-changed", "too-few-outside",
+                                  "more-outside-than-values"])
+    def test_a_geometry_that_cannot_occur_is_rejected(self, cols, values,
+                                                      outside):
+        with pytest.raises(ValueError, match="cannot occur"):
+            frame_plan(8, 8, 2, cols, values, outside)
 
 
 def test_end_frame_needs_begin_frame():
@@ -255,3 +274,29 @@ class TestMemoryReport:
     def test_positive_sizes(self):
         with pytest.raises(ValueError):
             memory_report(0, 8, 2)
+
+    def test_no_closed_form_for_pooled(self):
+        with pytest.raises(ValueError, match="no closed-form cost"):
+            memory_report(16, 8, 2, mode="spatial_pool")
+
+    @pytest.mark.parametrize("mode", ["full", "tokenwise_only", "stgt"])
+    def test_block_total_is_a_built_block_at_eight_bytes(self, mode):
+        n, d, heads = 64, 16, 4
+        model = Model(ModelConfig(blocks=1, n=n, d=d, heads=heads, mode=mode,
+                                  policy=Policy("top_r", r=8)))
+        model.step(SplitRng(43).normal((n, d)))
+        report = memory_report(n, d, heads, 8, mode)
+        assert report["block_total"] == _persistent_nbytes(model.blocks[0])
+
+
+def _persistent_nbytes(obj) -> int:
+    """Bytes of every array a block's gates, buffers and attention state
+    hold, its weights and each gate's last picks aside."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, list):
+        return sum(map(_persistent_nbytes, obj))
+    if isinstance(obj, (GatedBlock, AttentionState, Gate, Buffer)):
+        return sum(_persistent_nbytes(value) for key, value in vars(obj).items()
+                   if key not in ("w", "last_idx"))
+    return 0
